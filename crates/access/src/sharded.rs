@@ -176,41 +176,33 @@ impl<M: MeterSink> ShardedAccess<M> {
     }
 
     /// Runs the shared [`ProbeSplit`] index probe over the routed shard, or
-    /// over every shard in shard order, concatenating the fetched tuples.
+    /// over every shard in shard order when `target` is `None`,
+    /// concatenating the fetched tuples.  The first non-empty probe result
+    /// becomes the output vector itself, so a fetch that touches one shard —
+    /// routed, or fanned over a 1-shard view — copies nothing.
     fn gather_split(
         &self,
         relation: &str,
         target: Option<usize>,
         split: &ProbeSplit,
     ) -> Result<Vec<Tuple>, AccessError> {
-        self.gather(relation, target, |rel, out| {
-            out.extend(split.probe(rel)?);
-            Ok(())
-        })
-    }
-
-    /// Runs `probe` over the routed shard's relation, or over every shard's
-    /// relation in shard order when `target` is `None`, collecting into one
-    /// vector.
-    fn gather(
-        &self,
-        relation: &str,
-        target: Option<usize>,
-        mut probe: impl FnMut(&Relation, &mut Vec<Tuple>) -> Result<(), AccessError>,
-    ) -> Result<Vec<Tuple>, AccessError> {
-        let mut out = Vec::new();
-        match target {
+        let shards = match target {
             Some(shard) => {
                 self.routed.set(self.routed.get() + 1);
-                let rel = self.view.shard(shard).relation(relation)?;
-                probe(rel, &mut out)?;
+                std::slice::from_ref(self.view.shard(shard))
             }
             None => {
                 self.fanned.set(self.fanned.get() + 1);
-                for shard in self.view.shards() {
-                    let rel = shard.relation(relation)?;
-                    probe(rel, &mut out)?;
-                }
+                self.view.shards()
+            }
+        };
+        let mut out = Vec::new();
+        for shard in shards {
+            let rows = split.probe(shard.relation(relation)?)?;
+            if out.is_empty() {
+                out = rows;
+            } else {
+                out.extend(rows);
             }
         }
         Ok(out)

@@ -259,12 +259,14 @@ impl Relation {
         Ok(counts.values().copied().max().unwrap_or(0))
     }
 
-    /// Number of distinct values in each column, in schema order — the raw
+    /// Number of distinct values in each column, in schema order, over the
+    /// union of `parts`: one relation stored as disjoint pieces (the shards
+    /// of a sharded store; an unsharded relation is its only part).  The raw
     /// material of the planner's per-relation statistics.
-    pub fn column_distincts(&self) -> Vec<usize> {
-        let arity = self.schema.arity();
+    pub fn column_distincts(parts: &[&Relation]) -> Vec<usize> {
+        let arity = parts.first().map_or(0, |r| r.schema.arity());
         let mut seen: Vec<HashSet<Value>> = (0..arity).map(|_| HashSet::new()).collect();
-        for t in &self.tuples {
+        for t in parts.iter().flat_map(|r| r.tuples.iter()) {
             for (pos, set) in seen.iter_mut().enumerate() {
                 set.insert(t[pos]);
             }
@@ -432,9 +434,9 @@ mod tests {
     #[test]
     fn column_distincts_count_per_column() {
         let r = person();
-        assert_eq!(r.column_distincts(), vec![3, 3, 2]);
+        assert_eq!(Relation::column_distincts(&[&r]), vec![3, 3, 2]);
         let empty = Relation::new(RelationSchema::new("e", &["a"]));
-        assert_eq!(empty.column_distincts(), vec![0]);
+        assert_eq!(Relation::column_distincts(&[&empty]), vec![0]);
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! partition column are spread by the hash of the whole tuple (they can
 //! still be fetched, just never routed to a single shard).
 //!
+//! One shard is the unsharded case, and it is cheap: the source database
+//! becomes shard 0 as it is (no copy), and routing answers shard 0 without
+//! hashing.  `si-engine` runs every engine on this store; an unsharded
+//! engine is the 1-shard store under an empty [`PartitionMap`].
+//!
 //! ## Commit / epoch contract
 //!
 //! A cross-shard [`ShardedSnapshotStore::commit`] splits the [`Delta`] by
@@ -48,11 +53,11 @@ use crate::error::DataError;
 use crate::relation::Relation;
 use crate::schema::DatabaseSchema;
 use crate::snapshot::{DatabaseSnapshot, SnapshotStore};
-use crate::stats::{DatabaseStats, RelationStats};
+use crate::stats::DatabaseStats;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -212,25 +217,13 @@ impl PartitionRouter {
     /// relation has a declared partition column (mirror of
     /// [`ShardedSnapshotView::route_value`]).
     pub fn route_value(&self, relation: &str, value: Value) -> Option<usize> {
-        self.state
-            .positions
-            .contains_key(relation)
-            .then(|| shard_of_value(value, self.state.shards))
+        self.state.route_value(relation, value)
     }
 
     /// Splits a delta into per-shard deltas by routing every tuple (index
     /// `i` of the result targets shard `i`).
     pub fn split(&self, delta: &Delta) -> Vec<Delta> {
-        let mut parts = vec![Delta::new(); self.shards()];
-        for (relation, rd) in delta.iter() {
-            for t in &rd.insertions {
-                parts[self.route(relation, t)].insert(relation.clone(), t.clone());
-            }
-            for t in &rd.deletions {
-                parts[self.route(relation, t)].delete(relation.clone(), t.clone());
-            }
-        }
-        parts
+        self.state.split(delta)
     }
 }
 
@@ -245,6 +238,11 @@ struct PartitionState {
 
 impl PartitionState {
     fn route(&self, relation: &str, tuple: &Tuple) -> usize {
+        // One shard holds everything: skip the hash, which resolves every
+        // symbol to its string.
+        if self.shards == 1 {
+            return 0;
+        }
         match self.positions.get(relation) {
             Some(pos) => match tuple.get(*pos) {
                 Some(v) => shard_of_value(*v, self.shards),
@@ -254,6 +252,28 @@ impl PartitionState {
             },
             None => shard_of_tuple(tuple, self.shards),
         }
+    }
+
+    fn route_value(&self, relation: &str, value: Value) -> Option<usize> {
+        self.positions
+            .contains_key(relation)
+            .then(|| match self.shards {
+                1 => 0,
+                n => shard_of_value(value, n),
+            })
+    }
+
+    fn split(&self, delta: &Delta) -> Vec<Delta> {
+        let mut parts = vec![Delta::new(); self.shards];
+        for (relation, rd) in delta.iter() {
+            for t in &rd.insertions {
+                parts[self.route(relation, t)].insert(relation.clone(), t.clone());
+            }
+            for t in &rd.deletions {
+                parts[self.route(relation, t)].delete(relation.clone(), t.clone());
+            }
+        }
+        parts
     }
 }
 
@@ -313,10 +333,7 @@ impl ShardedSnapshotView {
     /// The shard a partition-column value of `relation` routes to, if the
     /// relation has a declared partition column.
     pub fn route_value(&self, relation: &str, value: Value) -> Option<usize> {
-        self.partition
-            .positions
-            .contains_key(relation)
-            .then(|| shard_of_value(value, self.shard_count()))
+        self.partition.route_value(relation, value)
     }
 
     /// The shard `tuple` of `relation` lives on (total: falls back to the
@@ -327,16 +344,7 @@ impl ShardedSnapshotView {
 
     /// Splits a delta into per-shard deltas by routing every tuple.
     pub fn split(&self, delta: &Delta) -> Vec<Delta> {
-        let mut parts = vec![Delta::new(); self.shard_count()];
-        for (relation, rd) in delta.iter() {
-            for t in &rd.insertions {
-                parts[self.route_tuple(relation, t)].insert(relation.clone(), t.clone());
-            }
-            for t in &rd.deletions {
-                parts[self.route_tuple(relation, t)].delete(relation.clone(), t.clone());
-            }
-        }
-        parts
+        self.partition.split(delta)
     }
 
     /// Total rows of `relation` across shards.
@@ -374,35 +382,14 @@ impl ShardedSnapshotView {
     /// would produce (rows summed, per-column distincts deduplicated across
     /// shards), so plans ranked against them are shard-count-independent.
     pub fn statistics(&self) -> DatabaseStats {
-        let mut merged: BTreeMap<String, RelationStats> = BTreeMap::new();
-        for rel_schema in self.schema().relations() {
-            let arity = rel_schema.arity();
-            let mut rows = 0usize;
-            let mut distincts: Vec<HashSet<Value>> = vec![HashSet::new(); arity];
-            for shard in &self.shards {
-                if let Ok(rel) = shard.relation(rel_schema.name()) {
-                    rows += rel.len();
-                    for t in rel.iter() {
-                        for (col, set) in distincts.iter_mut().enumerate() {
-                            if let Some(v) = t.get(col) {
-                                set.insert(*v);
-                            }
-                        }
-                    }
-                }
-            }
-            let columns = rel_schema
-                .attributes()
+        DatabaseStats::collect_parts(self.schema().relations().map(|rel| {
+            let parts = self
+                .shards
                 .iter()
-                .cloned()
-                .zip(distincts.iter().map(HashSet::len))
+                .filter_map(|s| s.relation(rel.name()).ok())
                 .collect();
-            merged.insert(
-                rel_schema.name().to_owned(),
-                RelationStats { rows, columns },
-            );
-        }
-        DatabaseStats::from_relation_stats(merged)
+            (rel, parts)
+        }))
     }
 
     /// Materialises the view as one owned [`Database`] (shard-order merge of
@@ -464,22 +451,26 @@ impl ShardedSnapshotStore {
     /// Splits `db` into `shards` hash-partitions and wraps each in a
     /// [`SnapshotStore`] at epoch 0.
     ///
-    /// Declared secondary indexes of `db` are re-declared on every shard
-    /// (still lazily built), so access-schema-promised indexes keep working
-    /// shard-locally.  Fails if the partition map names an unknown relation
-    /// or attribute, or if `shards` is 0.
+    /// With one shard, `db` itself becomes shard 0 — no copy, and indexes it
+    /// has already built stay built.  With more, declared secondary indexes
+    /// of `db` are re-declared on every shard (still lazily built), so
+    /// access-schema-promised indexes keep working shard-locally.  Fails if
+    /// the partition map names an unknown relation or attribute, or if
+    /// `shards` is 0.
     pub fn new(db: Database, partition: PartitionMap, shards: usize) -> Result<Self> {
         if shards == 0 {
             return Err(DataError::InvalidUpdate(
                 "a sharded store needs at least one shard".into(),
             ));
         }
-        let positions = partition.resolve(db.schema())?;
-        let state = Arc::new(PartitionState {
+        let state = PartitionState {
+            positions: partition.resolve(db.schema())?,
             map: partition,
-            positions,
             shards,
-        });
+        };
+        if shards == 1 {
+            return Ok(Self::assemble(vec![db], state, 0));
+        }
 
         // Split: same schema everywhere, declared indexes carried over,
         // tuples routed.  Per-shard insertion order follows the source
@@ -499,21 +490,7 @@ impl ShardedSnapshotStore {
                 parts[shard].insert(rel.name(), t.clone())?;
             }
         }
-
-        let stores: Vec<SnapshotStore> = parts.into_iter().map(SnapshotStore::new).collect();
-        let view = Arc::new(ShardedSnapshotView {
-            epoch: 0,
-            partition: Arc::clone(&state),
-            shards: stores.iter().map(SnapshotStore::pin).collect(),
-        });
-        Ok(ShardedSnapshotStore {
-            shards: stores,
-            partition: state,
-            current: RwLock::new(view),
-            writer: Mutex::new(()),
-            routed: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            pins: AtomicU64::new(0),
-        })
+        Ok(Self::assemble(parts, state, 0))
     }
 
     /// Rebuilds a sharded store from already-partitioned shard contents
@@ -540,12 +517,11 @@ impl ShardedSnapshotStore {
                 )));
             }
         }
-        let positions = partition.resolve(&schema)?;
-        let state = Arc::new(PartitionState {
+        let state = PartitionState {
+            positions: partition.resolve(&schema)?,
             map: partition,
-            positions,
             shards: parts.len(),
-        });
+        };
         for (i, part) in parts.iter().enumerate() {
             for rel in part.relations() {
                 for t in rel.iter() {
@@ -559,24 +535,30 @@ impl ShardedSnapshotStore {
                 }
             }
         }
-        let stores: Vec<SnapshotStore> = parts
+        Ok(Self::assemble(parts, state, epoch))
+    }
+
+    /// Wraps partitioned shard contents, one [`SnapshotStore`] each, as a
+    /// store whose current view is at `epoch`.
+    fn assemble(parts: Vec<Database>, partition: PartitionState, epoch: u64) -> Self {
+        let partition = Arc::new(partition);
+        let shards: Vec<SnapshotStore> = parts
             .into_iter()
             .map(|db| SnapshotStore::restore(db, epoch))
             .collect();
         let view = Arc::new(ShardedSnapshotView {
             epoch,
-            partition: Arc::clone(&state),
-            shards: stores.iter().map(SnapshotStore::pin).collect(),
+            partition: Arc::clone(&partition),
+            shards: shards.iter().map(SnapshotStore::pin).collect(),
         });
-        let shards = stores.len();
-        Ok(ShardedSnapshotStore {
-            shards: stores,
-            partition: state,
+        ShardedSnapshotStore {
+            routed: (0..shards.len()).map(|_| AtomicU64::new(0)).collect(),
+            shards,
+            partition,
             current: RwLock::new(view),
             writer: Mutex::new(()),
-            routed: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             pins: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Number of shards.
@@ -610,7 +592,7 @@ impl ShardedSnapshotStore {
     /// Splits a delta into per-shard deltas by routing every tuple (index
     /// `i` of the result targets shard `i`).
     pub fn split(&self, delta: &Delta) -> Vec<Delta> {
-        self.pin().split(delta)
+        self.partition.split(delta)
     }
 
     /// Commits `delta` across shards: splits it by route, validates every
@@ -743,10 +725,17 @@ mod tests {
 
     #[test]
     fn one_shard_degenerates_to_the_plain_store() {
-        let db = base();
-        let store = ShardedSnapshotStore::new(db.clone(), social_partition(), 1).unwrap();
-        assert_eq!(store.pin().shard(0).size(), db.size());
-        assert!(ShardedSnapshotStore::new(db, social_partition(), 0).is_err());
+        let mut db = base();
+        let size = db.size();
+        // One shard is the source database itself, not a re-inserted copy:
+        // an index the database already built stays built.
+        db.ensure_index("friend", &["id1".into()]).unwrap();
+        let store = ShardedSnapshotStore::new(db, social_partition(), 1).unwrap();
+        let view = store.pin();
+        assert_eq!(view.shard(0).size(), size);
+        let friend = view.shard(0).relation("friend").unwrap();
+        assert!(friend.has_built_index(&["id1".into()]));
+        assert!(ShardedSnapshotStore::new(base(), social_partition(), 0).is_err());
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 use crate::database::Database;
 use crate::relation::Relation;
+use crate::schema::RelationSchema;
 use std::collections::BTreeMap;
 
 /// Statistics of a single relation: row count and per-column distinct counts.
@@ -44,19 +45,17 @@ pub struct RelationStats {
 }
 
 impl RelationStats {
-    /// Collects statistics from a relation in one pass.
-    pub fn collect(relation: &Relation) -> Self {
-        let distincts = relation.column_distincts();
-        let columns = relation
-            .schema()
-            .attributes()
-            .iter()
-            .cloned()
-            .zip(distincts)
-            .collect();
+    /// Collects statistics of one relation in one pass over its tuples.
+    ///
+    /// The relation may be stored as disjoint `parts` — the shards of a
+    /// [`crate::ShardedSnapshotStore`], or the whole relation as its only
+    /// part: rows are summed and distinct values counted across parts, so
+    /// the result does not depend on how the relation is split.
+    pub fn collect(schema: &RelationSchema, parts: &[&Relation]) -> Self {
+        let distincts = Relation::column_distincts(parts);
         RelationStats {
-            rows: relation.len(),
-            columns,
+            rows: parts.iter().map(|r| r.len()).sum(),
+            columns: schema.attributes().iter().cloned().zip(distincts).collect(),
         }
     }
 
@@ -111,16 +110,24 @@ impl DatabaseStats {
     /// shared by [`Database::statistics`] and the versioned
     /// [`crate::snapshot::DatabaseSnapshot::statistics`].
     pub fn collect_relations<'a>(relations: impl Iterator<Item = &'a Relation>) -> Self {
-        let relations = relations
-            .map(|r| (r.name().to_owned(), RelationStats::collect(r)))
-            .collect();
-        DatabaseStats { relations }
+        Self::collect_parts(relations.map(|r| (r.schema(), vec![r])))
     }
 
-    /// Builds statistics from per-relation entries computed elsewhere — the
-    /// entry point of the sharded store's exact cross-shard merge
+    /// Collects statistics from `(schema, parts)` pairs, one per relation,
+    /// each relation stored as disjoint parts (see [`RelationStats::collect`])
+    /// — the entry point of the sharded store's exact cross-shard merge
     /// ([`crate::ShardedSnapshotView::statistics`]).
-    pub fn from_relation_stats(relations: BTreeMap<String, RelationStats>) -> Self {
+    pub fn collect_parts<'a>(
+        relations: impl Iterator<Item = (&'a RelationSchema, Vec<&'a Relation>)>,
+    ) -> Self {
+        let relations = relations
+            .map(|(schema, parts)| {
+                (
+                    schema.name().to_owned(),
+                    RelationStats::collect(schema, &parts),
+                )
+            })
+            .collect();
         DatabaseStats { relations }
     }
 

@@ -143,6 +143,11 @@ impl Checkpoint {
         if shard_count == 0 {
             return Err(CodecError::Invalid("checkpoint with zero shards".into()));
         }
+        if backend == CheckpointBackend::Single && shard_count != 1 {
+            return Err(CodecError::Invalid(
+                "single-store checkpoint with several shards".into(),
+            ));
+        }
         let mut shards = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
             let pages = r.count()?;
@@ -275,5 +280,9 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(Checkpoint::decode(&trailing).is_err());
+        // A single-store checkpoint holds exactly one shard.
+        let mut doubled = Checkpoint::single(&store.pin());
+        doubled.shards.push(doubled.shards[0].clone());
+        assert!(Checkpoint::decode(&doubled.encode()).is_err());
     }
 }

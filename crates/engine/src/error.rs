@@ -47,8 +47,9 @@ pub enum EngineError {
     /// (or, for replicated reads, a replica) has committed/applied, or it
     /// has fallen out of a replica's retention window.  Raised by
     /// [`Engine::execute_at`](crate::Engine::execute_at) for snapshots from
-    /// a different store's future, and by replicated execution when the
-    /// epoch wait for read-your-writes times out.
+    /// a different store's future or of a kind no engine produces, and by
+    /// replicated execution when the epoch wait for read-your-writes times
+    /// out.
     EpochUnavailable {
         /// The epoch the caller pinned.
         requested: u64,

@@ -27,16 +27,17 @@
 //!    commit is served with zero base-data accesses
 //!    (enable via [`EngineConfig::materialize_capacity`]).
 //! 3. **Snapshot isolation** — every execution pins an epoch-versioned
-//!    [`DatabaseSnapshot`]; a single writer
-//!    commits [`Delta`]s copy-on-write at relation granularity
-//!    ([`si_data::SnapshotStore`]), so readers never block and never see a
-//!    torn instance.  With [`Engine::new_sharded`] the store is
-//!    **hash-partitioned** ([`si_data::ShardedSnapshotStore`]): commits
-//!    split by route under one coherent global epoch, executions plan once
-//!    against exact global statistics and scatter-gather through
-//!    [`si_access::ShardedAccess`] (partition-column probes route to a
-//!    single shard, everything else fans out in shard order), and answers,
-//!    epochs and access accounting stay identical to the unsharded engine.
+//!    view of the store; a single writer commits [`Delta`]s copy-on-write
+//!    at relation granularity, so readers never block and never see a torn
+//!    instance.  Every engine runs on one store,
+//!    [`si_data::ShardedSnapshotStore`]: [`Engine::new`] is its 1-shard case
+//!    (the database itself, uncopied), and [`Engine::new_sharded`]
+//!    **hash-partitions** the instance.  Commits split by route under one
+//!    coherent global epoch, executions plan once against exact global
+//!    statistics and scatter-gather through [`si_access::ShardedAccess`]
+//!    (partition-column probes route to a single shard, everything else
+//!    fans out in shard order), and answers, epochs and access accounting do
+//!    not depend on the shard count.
 //! 4. **Parallel bounded execution** — a fixed worker pool (hand-rolled
 //!    on `std::thread` + mpsc) serves requests concurrently;
 //!    within a request, [`execute_bounded_partitioned`](si_core) can fan the
@@ -87,7 +88,7 @@ pub use si_telemetry::{
 };
 pub use subscribe::{AnswerUpdate, ChangeSet, ObservableQuery, SubscriptionRegistry};
 
-use si_access::{AccessError, AccessSchema, ShardedAccess, SnapshotAccess};
+use si_access::{AccessError, AccessSchema, ShardedAccess};
 use si_core::bounded::{
     execute_bounded, execute_bounded_partitioned, execute_bounded_partitioned_traced,
     execute_bounded_traced, fetch_bounded, SharedFetch,
@@ -97,9 +98,9 @@ use si_core::{
     TraceSink,
 };
 use si_data::{
-    AccessMeter, Database, DatabaseSchema, DatabaseSnapshot, DatabaseStats, Delta, DeltaBase,
-    DeltaBatch, MeterSink, MeterSnapshot, PartitionMap, ShardStats, ShardedSnapshotStore,
-    ShardedSnapshotView, SharedMeter, SnapshotStore, Tuple, Value,
+    AccessMeter, Database, DatabaseSchema, DatabaseSnapshot, DatabaseStats, Delta, DeltaBatch,
+    MeterSink, MeterSnapshot, PartitionMap, ShardStats, ShardedSnapshotStore, ShardedSnapshotView,
+    SharedMeter, Tuple, Value,
 };
 use si_durability::{Checkpoint, CheckpointBackend, DurabilityConfig, DurabilityError, Wal};
 use si_query::{ConjunctiveQuery, Var};
@@ -250,55 +251,22 @@ impl Request {
     }
 }
 
-/// The storage behind an engine: one snapshot store, or `N` hash-partitioned
-/// ones behind a routing function (see [`Engine::new_sharded`]).
-#[derive(Debug)]
-enum Backend {
-    Single(SnapshotStore),
-    Sharded(ShardedSnapshotStore),
-}
-
-impl Backend {
-    fn pin(&self) -> EngineSnapshot {
-        match self {
-            Backend::Single(store) => EngineSnapshot::Single(store.pin()),
-            Backend::Sharded(store) => EngineSnapshot::Sharded(store.pin()),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            Backend::Single(store) => store.epoch(),
-            Backend::Sharded(store) => store.epoch(),
-        }
-    }
-
-    fn pins(&self) -> u64 {
-        match self {
-            Backend::Single(store) => store.pins(),
-            Backend::Sharded(store) => store.pins(),
-        }
-    }
-
-    fn commit(&self, delta: &Delta) -> si_data::Result<EngineSnapshot> {
-        match self {
-            Backend::Single(store) => store.commit(delta).map(EngineSnapshot::Single),
-            Backend::Sharded(store) => store.commit(delta).map(EngineSnapshot::Sharded),
-        }
-    }
-}
-
-/// A pinned engine version: the reader side of snapshot isolation, uniform
-/// over single-store and sharded engines.
+/// A pinned engine version: the reader side of snapshot isolation.
 ///
 /// Obtained from [`Engine::snapshot`]; hold it and every
 /// [`Engine::execute_at`] sees exactly this version, no matter how many
 /// commits happen meanwhile.  Cloning is an `Arc` bump.
+///
+/// Every engine runs on a [`ShardedSnapshotStore`] — an unsharded engine is
+/// its 1-shard case — so engines only produce `Sharded`.  `Single` is never
+/// produced; it is kept for source compatibility with code that matches on
+/// the variants, and [`Engine::execute_at`] refuses it.
 #[derive(Debug, Clone)]
 pub enum EngineSnapshot {
-    /// A pinned version of a single snapshot store.
+    /// A pinned version of a plain snapshot store.  Never produced by an
+    /// engine (see the type docs).
     Single(Arc<DatabaseSnapshot>),
-    /// A coherent pinned view across every shard of a sharded store.
+    /// A coherent pinned view across every shard of the engine's store.
     Sharded(Arc<ShardedSnapshotView>),
 }
 
@@ -311,7 +279,7 @@ impl EngineSnapshot {
         }
     }
 
-    /// Number of data shards in this version (1 for single-store engines) —
+    /// Number of data shards in this version (1 for an unsharded engine) —
     /// the uniform way to inspect layout, instead of matching the variants.
     pub fn shard_count(&self) -> usize {
         match self {
@@ -321,9 +289,8 @@ impl EngineSnapshot {
     }
 
     /// Per-shard epochs, in shard order.  Every shard commits on every
-    /// global commit, so each entry equals [`EngineSnapshot::epoch`] — the
-    /// coherence invariant the sharded recovery tests pin.  Single-store
-    /// versions report one entry.
+    /// global commit, so each entry equals [`epoch`](Self::epoch) — the
+    /// coherence invariant the sharded recovery tests pin.
     pub fn shard_epochs(&self) -> Vec<u64> {
         match self {
             EngineSnapshot::Single(snap) => vec![snap.epoch()],
@@ -347,9 +314,9 @@ impl EngineSnapshot {
         }
     }
 
-    /// Collects statistics for this version.  For sharded engines these are
-    /// the exact *global* statistics (identical to unsharded collection), so
-    /// plans ranked against them are shard-count-independent.
+    /// Collects statistics for this version: the exact *global* statistics,
+    /// identical however the instance is sharded, so plans ranked against
+    /// them are shard-count-independent.
     pub fn statistics(&self) -> DatabaseStats {
         match self {
             EngineSnapshot::Single(snap) => snap.statistics(),
@@ -357,24 +324,12 @@ impl EngineSnapshot {
         }
     }
 
-    /// Materialises the version as one owned [`Database`] (for sharded
-    /// engines, a shard-order merge).  Single-threaded cross-checks and
-    /// tests only.
+    /// Materialises the version as one owned [`Database`] (a shard-order
+    /// merge).  Single-threaded cross-checks and tests only.
     pub fn to_database(&self) -> Database {
         match self {
             EngineSnapshot::Single(snap) => snap.to_database(),
             EngineSnapshot::Sharded(view) => view.to_database(),
-        }
-    }
-
-    /// Live `(relation, row count)` pairs — the cheap drift signal.
-    fn row_counts(&self) -> Vec<(String, usize)> {
-        match self {
-            EngineSnapshot::Single(snap) => snap
-                .relations()
-                .map(|r| (r.name().to_owned(), r.len()))
-                .collect(),
-            EngineSnapshot::Sharded(view) => view.row_counts(),
         }
     }
 }
@@ -533,7 +488,7 @@ struct DurableState {
 pub(crate) struct Shared {
     config: EngineConfig,
     access: Arc<AccessSchema>,
-    store: Backend,
+    store: ShardedSnapshotStore,
     cache: PlanCache,
     materialized: MaterializedSet,
     /// Serialises [`Shared::commit`]s so that the base version pinned for
@@ -565,8 +520,8 @@ pub(crate) struct Shared {
     /// [`Engine::recover_with_subscriptions`], with the recovered engine.
     subscriptions: Arc<SubscriptionRegistry>,
     /// The replication plane, created lazily by the first
-    /// [`Engine::attach_replica`] (sharded engines only): per-shard wire
-    /// clients, replay log, and the read-your-writes epoch wait.
+    /// [`Engine::attach_replica`]: per-shard wire clients, replay log, and
+    /// the read-your-writes epoch wait.
     replication: RwLock<Option<Arc<ReplicaSet>>>,
 }
 
@@ -595,7 +550,11 @@ impl Shared {
 
     /// Serves one request against a caller-pinned snapshot version (no pin
     /// taken, so a traced request charges 0 to the `SnapshotPin` phase).
-    fn serve_at(&self, snapshot: &EngineSnapshot, request: &Request) -> Result<QueryResponse> {
+    fn serve_at(
+        &self,
+        snapshot: &Arc<ShardedSnapshotView>,
+        request: &Request,
+    ) -> Result<QueryResponse> {
         // A pinned version this store has *not* committed yet (a snapshot
         // from a different engine's future, or a replica running ahead) has
         // no data behind it here — refuse it with a typed error instead of
@@ -694,7 +653,7 @@ impl Shared {
     /// optional phase clock threaded through every stage.
     fn serve_traced(
         &self,
-        snapshot: &EngineSnapshot,
+        snapshot: &Arc<ShardedSnapshotView>,
         request: &Request,
         mut clock: Option<PhaseClock>,
         queue_wait_nanos: u64,
@@ -772,106 +731,40 @@ impl Shared {
         }
 
         // Execute on the pinned version — scatter-gather across data shards
-        // through `ShardedAccess` on sharded backends, morsel-parallel when
-        // configured (both compose: each morsel worker forks a sharded
-        // source over the same pinned shard vector).  With a clock attached,
-        // the traced executor variants report the fetch/finalize split
-        // through the `TraceSink` hook; the plain variants stay byte-for-byte
-        // the untraced hot path.
-        let mut routed_fetches = 0u64;
-        let mut fanned_fetches = 0u64;
-        let result = match snapshot {
-            EngineSnapshot::Single(snap) => {
-                if self.config.shards_per_query > 1 {
-                    let make = || {
-                        SnapshotAccess::<AccessMeter>::new(
-                            Arc::clone(snap),
-                            Arc::clone(&self.access),
-                        )
-                    };
-                    match clock.as_mut() {
-                        Some(c) => {
-                            let mut sink = ClockSink(c);
-                            execute_bounded_partitioned_traced(
-                                &cached.plan,
-                                &request.values,
-                                make,
-                                self.config.shards_per_query,
-                                &mut sink,
-                            )?
-                        }
-                        None => execute_bounded_partitioned(
-                            &cached.plan,
-                            &request.values,
-                            make,
-                            self.config.shards_per_query,
-                        )?,
-                    }
-                } else {
-                    let view = SnapshotAccess::<AccessMeter>::new(
-                        Arc::clone(snap),
-                        Arc::clone(&self.access),
-                    );
-                    match clock.as_mut() {
-                        Some(c) => {
-                            let mut sink = ClockSink(c);
-                            execute_bounded_traced(&cached.plan, &request.values, &view, &mut sink)?
-                        }
-                        None => execute_bounded(&cached.plan, &request.values, &view)?,
-                    }
-                }
-            }
-            EngineSnapshot::Sharded(view) => {
-                if self.config.shards_per_query > 1 {
-                    let make = || {
-                        ShardedAccess::<AccessMeter>::new(
-                            Arc::clone(view),
-                            Arc::clone(&self.access),
-                        )
-                    };
-                    match clock.as_mut() {
-                        Some(c) => {
-                            let mut sink = ClockSink(c);
-                            execute_bounded_partitioned_traced(
-                                &cached.plan,
-                                &request.values,
-                                make,
-                                self.config.shards_per_query,
-                                &mut sink,
-                            )?
-                        }
-                        None => execute_bounded_partitioned(
-                            &cached.plan,
-                            &request.values,
-                            make,
-                            self.config.shards_per_query,
-                        )?,
-                    }
-                } else {
-                    let source = ShardedAccess::<AccessMeter>::new(
-                        Arc::clone(view),
-                        Arc::clone(&self.access),
-                    );
-                    let result = match clock.as_mut() {
-                        Some(c) => {
-                            let mut sink = ClockSink(c);
-                            execute_bounded_traced(
-                                &cached.plan,
-                                &request.values,
-                                &source,
-                                &mut sink,
-                            )?
-                        }
-                        None => execute_bounded(&cached.plan, &request.values, &source)?,
-                    };
-                    // Per-request routing split (the morsel path forks one
-                    // source per worker, so only the single-threaded path
-                    // reports it).
-                    routed_fetches = source.routed_fetches();
-                    fanned_fetches = source.fanned_fetches();
-                    result
-                }
-            }
+        // through `ShardedAccess`, morsel-parallel when configured (both
+        // compose: each morsel worker forks a source over the same pinned
+        // shard vector).  With a clock attached, the traced executor
+        // variants report the fetch/finalize split through the `TraceSink`
+        // hook; the plain variants stay byte-for-byte the untraced hot path.
+        let make =
+            || ShardedAccess::<AccessMeter>::new(Arc::clone(snapshot), Arc::clone(&self.access));
+        let (result, routed_fetches, fanned_fetches) = if self.config.shards_per_query > 1 {
+            let workers = self.config.shards_per_query;
+            let result = match clock.as_mut() {
+                Some(c) => execute_bounded_partitioned_traced(
+                    &cached.plan,
+                    &request.values,
+                    make,
+                    workers,
+                    &mut ClockSink(c),
+                )?,
+                None => execute_bounded_partitioned(&cached.plan, &request.values, make, workers)?,
+            };
+            // The morsel path forks one source per worker, so only the
+            // single-threaded path reports the per-request routing split.
+            (result, 0, 0)
+        } else {
+            let source = make();
+            let result = match clock.as_mut() {
+                Some(c) => execute_bounded_traced(
+                    &cached.plan,
+                    &request.values,
+                    &source,
+                    &mut ClockSink(c),
+                )?,
+                None => execute_bounded(&cached.plan, &request.values, &source)?,
+            };
+            (result, source.routed_fetches(), source.fanned_fetches())
         };
         if let Some(c) = clock.as_mut() {
             // Execution time was charged to Fetch/Finalize by the sink;
@@ -981,7 +874,7 @@ impl Shared {
     /// Plan-cache lookup with admission control; plans on miss.
     fn plan_for(
         &self,
-        snapshot: &EngineSnapshot,
+        snapshot: &Arc<ShardedSnapshotView>,
         canonical: &CanonicalQuery,
     ) -> Result<(CachedPlan, bool)> {
         let (stats, stats_epoch) = {
@@ -1030,22 +923,13 @@ impl Shared {
     /// [`fetch_bounded`]).
     fn fetch_for(
         &self,
-        snapshot: &EngineSnapshot,
+        snapshot: &Arc<ShardedSnapshotView>,
         plan: &BoundedPlan,
         values: &[Value],
     ) -> std::result::Result<SharedFetch, CoreError> {
-        match snapshot {
-            EngineSnapshot::Single(snap) => {
-                let view =
-                    SnapshotAccess::<AccessMeter>::new(Arc::clone(snap), Arc::clone(&self.access));
-                fetch_bounded(plan, values, &view)
-            }
-            EngineSnapshot::Sharded(view) => {
-                let source =
-                    ShardedAccess::<AccessMeter>::new(Arc::clone(view), Arc::clone(&self.access));
-                fetch_bounded(plan, values, &source)
-            }
-        }
+        let source =
+            ShardedAccess::<AccessMeter>::new(Arc::clone(snapshot), Arc::clone(&self.access));
+        fetch_bounded(plan, values, &source)
     }
 
     /// Serves a slice of requests against one pinned current version,
@@ -1059,7 +943,7 @@ impl Shared {
     /// [`Shared::serve_batch`] against a caller-pinned version.
     fn serve_batch_at(
         &self,
-        snapshot: &EngineSnapshot,
+        snapshot: &Arc<ShardedSnapshotView>,
         requests: &[Request],
     ) -> Vec<Result<QueryResponse>> {
         // Group by (canonical shape, parameter values) in first-appearance
@@ -1122,7 +1006,7 @@ impl Shared {
     /// true global cost.
     fn serve_group(
         &self,
-        snapshot: &EngineSnapshot,
+        snapshot: &Arc<ShardedSnapshotView>,
         canonical: &CanonicalQuery,
         values: &[Value],
         opt_in: &[bool],
@@ -1379,8 +1263,8 @@ impl Shared {
     /// validation folds nothing and gets its own `Err`; later deltas see
     /// the state as if it never existed, mirroring a failed individual
     /// commit.  The accepted deltas then share ONE epoch bump, ONE
-    /// maintenance pass over the merged delta (per shard on sharded
-    /// backends) and ONE statistics drift probe, and every accepted delta's
+    /// maintenance pass over the merged delta (per shard) and ONE
+    /// statistics drift probe, and every accepted delta's
     /// outcome is `Ok(new epoch)`.
     pub(crate) fn commit_group(&self, deltas: &[Delta]) -> Vec<Result<u64>> {
         if deltas.is_empty() {
@@ -1393,19 +1277,13 @@ impl Shared {
         let _writer = self.commit_lock.lock().expect("commit lock poisoned");
         let base = self.store.pin();
 
-        fn fold_all<B: DeltaBase>(base: &B, deltas: &[Delta]) -> (Delta, Vec<Option<EngineError>>) {
-            let mut batch = DeltaBatch::new(base);
-            let outcomes = deltas
-                .iter()
-                .map(|delta| batch.fold(delta).err().map(EngineError::Data))
-                .collect();
-            (batch.merged(), outcomes)
-        }
         let merge_start = Instant::now();
-        let (merged, outcomes) = match &base {
-            EngineSnapshot::Single(snap) => fold_all(snap.as_ref(), deltas),
-            EngineSnapshot::Sharded(view) => fold_all(view.as_ref(), deltas),
-        };
+        let mut batch = DeltaBatch::new(base.as_ref());
+        let outcomes: Vec<Option<EngineError>> = deltas
+            .iter()
+            .map(|delta| batch.fold(delta).err().map(EngineError::Data))
+            .collect();
+        let merged = batch.merged();
         let merge_nanos = nanos_of(merge_start.elapsed());
         let accepted = outcomes.iter().filter(|o| o.is_none()).count() as u64;
         if accepted == 0 {
@@ -1464,15 +1342,13 @@ impl Shared {
         // commit lock — attach/reconnect also runs under it, so no record
         // can slip between a resync and the live stream.  Sends do not wait
         // for acks; replicated reads wait on the ack watermark instead.
-        if let EngineSnapshot::Sharded(view) = &snapshot {
-            let set = self
-                .replication
-                .read()
-                .expect("replication lock poisoned")
-                .clone();
-            if let Some(set) = set {
-                set.ship(view, &merged);
-            }
+        let replication = self
+            .replication
+            .read()
+            .expect("replication lock poisoned")
+            .clone();
+        if let Some(set) = replication {
+            set.ship(&snapshot, &merged);
         }
 
         self.commits.fetch_add(accepted, Ordering::Relaxed);
@@ -1494,12 +1370,10 @@ impl Shared {
             let every = durable.policy.checkpoint_every;
             if every > 0 && durable.passes.is_multiple_of(every) {
                 let ckpt_start = Instant::now();
-                let ckpt = match &snapshot {
-                    EngineSnapshot::Single(snap) => Checkpoint::single(snap),
-                    EngineSnapshot::Sharded(view) => Checkpoint::sharded(view),
-                };
                 let keep = durable.policy.keep_checkpoints;
-                let _ = durable.wal.checkpoint(&ckpt, keep);
+                let _ = durable
+                    .wal
+                    .checkpoint(&Checkpoint::sharded(&snapshot), keep);
                 checkpoint_nanos = nanos_of(ckpt_start.elapsed());
                 self.telemetry.checkpoint.record(checkpoint_nanos);
             }
@@ -1520,15 +1394,11 @@ impl Shared {
         if !self.materialized.is_disabled() {
             let maint_start = Instant::now();
             let touched = merged.touched_relations();
-            // On a sharded backend the delta is split by route ONCE per
-            // commit; every admitted entry's maintenance then iterates the
-            // same shard-local sub-deltas.
-            let parts: Option<Vec<Delta>> = match &base {
-                EngineSnapshot::Single(_) => None,
-                EngineSnapshot::Sharded(view) => Some(view.split(&merged)),
-            };
-            // Per-shard maintenance time, summed across maintained entries
-            // (empty on single-store backends).
+            // The delta is split by route ONCE per commit; every admitted
+            // entry's maintenance then iterates the same shard-local
+            // sub-deltas.
+            let parts = base.split(&merged);
+            // Per-shard maintenance time, summed across maintained entries.
             let shard_nanos: Mutex<Vec<u64>> = Mutex::new(vec![0; base.shard_count()]);
             let summary = self.materialized.maintain_tracked(
                 base.epoch(),
@@ -1544,16 +1414,7 @@ impl Shared {
                     )
                     .unwrap_or(false)
                 },
-                |evaluator| {
-                    self.maintain_one(
-                        evaluator,
-                        &base,
-                        &snapshot,
-                        &merged,
-                        parts.as_deref(),
-                        &shard_nanos,
-                    )
-                },
+                |evaluator| self.maintain_one(evaluator, &base, &snapshot, &parts, &shard_nanos),
                 // Track answer deltas only for subscribed keys: the pass
                 // already knows exactly which tuples entered/left each
                 // answer, the predicate just gates the per-key diff cost.
@@ -1567,9 +1428,7 @@ impl Shared {
             subscriber_changes = summary.changes;
             maintenance_nanos = nanos_of(maint_start.elapsed());
             self.telemetry.maintenance.record(maintenance_nanos);
-            if matches!(&base, EngineSnapshot::Sharded(_)) {
-                shard_maintenance_nanos = shard_nanos.into_inner().expect("shard timing poisoned");
-            }
+            shard_maintenance_nanos = shard_nanos.into_inner().expect("shard timing poisoned");
         }
 
         // Reactive fan-out, still under the commit lock (the registration
@@ -1636,101 +1495,62 @@ impl Shared {
     }
 
     /// Bounded maintenance of one materialized answer across the commit
-    /// `base → snapshot` of `delta` (phase 2 of
+    /// `base → snapshot` of a delta (phase 2 of
     /// [`MaterializedSet::maintain_with`], running outside its lock).
     ///
-    /// On a sharded backend Section-5 maintenance runs **per shard on the
-    /// shard-local delta** (`parts`, split by route once per commit) — each
-    /// run's fetches route through the sharded views, so per-shard deltas
-    /// touch per-shard data plus whatever cross-shard completions the
-    /// rest-queries need.  The composition is exact because every deletion
-    /// re-check and insertion completion evaluates against the full
-    /// committed version.
+    /// Section-5 maintenance runs **per shard on the shard-local delta**
+    /// (`parts`, split by route once per commit) — each run's fetches route
+    /// through the sharded views, so per-shard deltas touch per-shard data
+    /// plus whatever cross-shard completions the rest-queries need.  The
+    /// composition is exact because every deletion re-check and insertion
+    /// completion evaluates against the full committed version.
     fn maintain_one(
         &self,
         evaluator: &mut IncrementalBoundedEvaluator,
-        base: &EngineSnapshot,
-        snapshot: &EngineSnapshot,
-        delta: &Delta,
-        parts: Option<&[Delta]>,
+        base: &Arc<ShardedSnapshotView>,
+        snapshot: &Arc<ShardedSnapshotView>,
+        parts: &[Delta],
         shard_nanos: &Mutex<Vec<u64>>,
     ) -> std::result::Result<MeterSnapshot, CoreError> {
-        match (base, snapshot) {
-            (EngineSnapshot::Single(base), EngineSnapshot::Single(snapshot)) => {
-                let old_view =
-                    SnapshotAccess::<AccessMeter>::new(Arc::clone(base), Arc::clone(&self.access));
-                let new_view = SnapshotAccess::<AccessMeter>::new(
-                    Arc::clone(snapshot),
-                    Arc::clone(&self.access),
-                );
-                // The store's commit already validated `delta` against
-                // `base`; no need to re-validate it per answer.
-                let result = evaluator.maintain_across_unchecked(&old_view, &new_view, delta);
-                if result.is_err() {
-                    // The fetches before the failure still happened; the
-                    // summary only carries successful runs, so account the
-                    // partial work here (the views' meters are fresh, their
-                    // totals are exactly this run's cost).
+        let old_view =
+            ShardedAccess::<AccessMeter>::new(Arc::clone(base), Arc::clone(&self.access));
+        let new_view =
+            ShardedAccess::<AccessMeter>::new(Arc::clone(snapshot), Arc::clone(&self.access));
+        let mut cost = MeterSnapshot::default();
+        for (shard, part) in parts.iter().enumerate() {
+            if part.is_empty() {
+                continue;
+            }
+            let part_start = Instant::now();
+            // The store's commit already validated the delta against `base`;
+            // no need to re-validate it per answer.
+            let outcome = evaluator.maintain_across_unchecked(&old_view, &new_view, part);
+            {
+                let mut nanos = shard_nanos.lock().expect("shard timing poisoned");
+                if let Some(slot) = nanos.get_mut(shard) {
+                    *slot += nanos_of(part_start.elapsed());
+                }
+            }
+            match outcome {
+                Ok(c) => cost = cost.plus(&c),
+                Err(e) => {
+                    // The fetches before the failure still happened, but the
+                    // summary only carries successful runs: account
+                    // everything this evaluator fetched so far — earlier
+                    // sub-deltas included — exactly once.  The views' meters
+                    // are fresh, so their totals are this run's whole cost,
+                    // and `cost` is discarded.
                     self.maintenance_meter.merge(
                         &old_view
                             .meter()
                             .snapshot()
                             .plus(&new_view.meter().snapshot()),
                     );
+                    return Err(e);
                 }
-                result
             }
-            (EngineSnapshot::Sharded(base), EngineSnapshot::Sharded(snapshot)) => {
-                let old_view =
-                    ShardedAccess::<AccessMeter>::new(Arc::clone(base), Arc::clone(&self.access));
-                let new_view = ShardedAccess::<AccessMeter>::new(
-                    Arc::clone(snapshot),
-                    Arc::clone(&self.access),
-                );
-                let split;
-                let parts = match parts {
-                    Some(parts) => parts,
-                    None => {
-                        split = base.split(delta);
-                        &split
-                    }
-                };
-                let mut cost = MeterSnapshot::default();
-                for (shard, part) in parts.iter().enumerate() {
-                    if part.is_empty() {
-                        continue;
-                    }
-                    let part_start = Instant::now();
-                    let outcome = evaluator.maintain_across_unchecked(&old_view, &new_view, part);
-                    {
-                        let mut nanos = shard_nanos.lock().expect("shard timing poisoned");
-                        if let Some(slot) = nanos.get_mut(shard) {
-                            *slot += nanos_of(part_start.elapsed());
-                        }
-                    }
-                    match outcome {
-                        Ok(c) => cost = cost.plus(&c),
-                        Err(e) => {
-                            // Account everything this evaluator fetched so
-                            // far — earlier sub-deltas included — exactly
-                            // once: the views' cumulative meters are the
-                            // whole run's cost, and `cost` is discarded.
-                            self.maintenance_meter.merge(
-                                &old_view
-                                    .meter()
-                                    .snapshot()
-                                    .plus(&new_view.meter().snapshot()),
-                            );
-                            return Err(e);
-                        }
-                    }
-                }
-                Ok(cost)
-            }
-            _ => Err(CoreError::Invariant(
-                "engine snapshot variants diverged across one commit".into(),
-            )),
         }
+        Ok(cost)
     }
 
     /// Registers a reactive subscription for `request`'s answers (see
@@ -1790,7 +1610,12 @@ impl Shared {
     /// reader — its stream cannot be advanced incrementally, so the
     /// subscriber gets an explicit [`AnswerUpdate::Resync`] instead of a
     /// silently stalled stream.
-    fn fan_out(&self, snapshot: &EngineSnapshot, changes: Vec<AnswerChange>, pass_start: Instant) {
+    fn fan_out(
+        &self,
+        snapshot: &Arc<ShardedSnapshotView>,
+        changes: Vec<AnswerChange>,
+        pass_start: Instant,
+    ) {
         let epoch = snapshot.epoch();
         let mut handled: HashSet<MaterializedKey> = HashSet::with_capacity(changes.len());
         for change in changes {
@@ -1846,7 +1671,7 @@ impl Shared {
     /// planning or execution failure — the caller retries at a later commit.
     fn reseed_subscription(
         &self,
-        snapshot: &EngineSnapshot,
+        snapshot: &Arc<ShardedSnapshotView>,
         canonical: &CanonicalQuery,
         key: &MaterializedKey,
     ) -> Option<Arc<Vec<Tuple>>> {
@@ -1873,22 +1698,13 @@ impl Shared {
     /// re-seed subscriptions).
     fn run_full_query(
         &self,
-        snapshot: &EngineSnapshot,
+        snapshot: &Arc<ShardedSnapshotView>,
         plan: &BoundedPlan,
         values: &[Value],
     ) -> std::result::Result<(Vec<Tuple>, MeterSnapshot), CoreError> {
-        let result = match snapshot {
-            EngineSnapshot::Single(snap) => {
-                let view =
-                    SnapshotAccess::<AccessMeter>::new(Arc::clone(snap), Arc::clone(&self.access));
-                execute_bounded(plan, values, &view)?
-            }
-            EngineSnapshot::Sharded(view) => {
-                let source =
-                    ShardedAccess::<AccessMeter>::new(Arc::clone(view), Arc::clone(&self.access));
-                execute_bounded(plan, values, &source)?
-            }
-        };
+        let source =
+            ShardedAccess::<AccessMeter>::new(Arc::clone(snapshot), Arc::clone(&self.access));
+        let result = execute_bounded(plan, values, &source)?;
         Ok((result.answers, result.accesses))
     }
 
@@ -2040,13 +1856,10 @@ impl Shared {
                 durable.wal.segment_bytes(),
             ));
         }
-        if let Backend::Sharded(store) = &self.store {
-            for stats in store.shard_stats() {
-                out.push(
-                    Sample::gauge("si_shard_rows", stats.rows)
-                        .label("shard", stats.shard.to_string()),
-                );
-            }
+        for stats in self.store.shard_stats() {
+            out.push(
+                Sample::gauge("si_shard_rows", stats.rows).label("shard", stats.shard.to_string()),
+            );
         }
         let replication = self
             .replication
@@ -2116,6 +1929,18 @@ impl TraceSink for ClockSink<'_> {
     }
 }
 
+/// Checks `access` against `db`'s schema and declares every index it
+/// promises (lazily built, inside whichever version first probes it).
+fn declare_indexes(db: &mut Database, access: &AccessSchema) -> Result<()> {
+    access.validate(db.schema())?;
+    for (relation, attrs) in access.required_indexes() {
+        if !attrs.is_empty() {
+            db.declare_index(&relation, &attrs)?;
+        }
+    }
+    Ok(())
+}
+
 /// Saturating `Duration` → nanoseconds (u64).
 fn nanos_of(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
@@ -2170,27 +1995,15 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine over an initial instance and an access schema.
+    /// Builds an engine over an initial instance and an access schema: the
+    /// 1-shard case of [`Engine::new_sharded`], whose only shard is `db`
+    /// itself (no copy).
     ///
     /// Declares every index the access schema promises (lazily — each
     /// materialises on first probe, inside whichever snapshot version first
     /// needs it) and collects the statistics epoch 0.
-    pub fn new(mut db: Database, access: AccessSchema, config: EngineConfig) -> Result<Engine> {
-        access.validate(db.schema())?;
-        for (relation, attrs) in access.required_indexes() {
-            if !attrs.is_empty() {
-                db.declare_index(&relation, &attrs)?;
-            }
-        }
-        let stats = Arc::new(db.statistics());
-        Ok(Self::build(
-            Backend::Single(SnapshotStore::new(db)),
-            access,
-            stats,
-            config,
-            None,
-            Arc::new(SubscriptionRegistry::new()),
-        ))
+    pub fn new(db: Database, access: AccessSchema, config: EngineConfig) -> Result<Engine> {
+        Self::new_sharded(db, access, PartitionMap::new(), 1, config)
     }
 
     /// Builds a **durable** engine over an initial instance: the instance is
@@ -2199,38 +2012,17 @@ impl Engine {
     /// fsynced — *before* the in-memory store applies it.  After a crash,
     /// [`Engine::recover`] over the same storage rebuilds an engine whose
     /// state is exactly the maximal durable prefix of the commit history.
+    /// The 1-shard case of [`Engine::new_sharded_durable`].
     ///
     /// The policy knobs come from [`EngineConfig::durability`]
     /// ([`DurabilityConfig::default`] if unset).
     pub fn new_durable(
-        mut db: Database,
+        db: Database,
         access: AccessSchema,
         storage: Box<dyn si_durability::Storage>,
         config: EngineConfig,
     ) -> Result<Engine> {
-        access.validate(db.schema())?;
-        for (relation, attrs) in access.required_indexes() {
-            if !attrs.is_empty() {
-                db.declare_index(&relation, &attrs)?;
-            }
-        }
-        let stats = Arc::new(db.statistics());
-        let store = SnapshotStore::new(db);
-        let wal = Wal::create(storage, &Checkpoint::single(&store.pin()))
-            .map_err(EngineError::Durability)?;
-        let policy = config.durability.clone().unwrap_or_default();
-        Ok(Self::build(
-            Backend::Single(store),
-            access,
-            stats,
-            config,
-            Some(DurableState {
-                wal,
-                policy,
-                passes: 0,
-            }),
-            Arc::new(SubscriptionRegistry::new()),
-        ))
+        Self::new_sharded_durable(db, access, PartitionMap::new(), 1, storage, config)
     }
 
     /// Builds an engine over a **hash-partitioned** store: `shards`
@@ -2247,22 +2039,15 @@ impl Engine {
     /// coherent global epoch; materialized answers are maintained per shard
     /// on the shard-local delta.
     pub fn new_sharded(
-        mut db: Database,
+        db: Database,
         access: AccessSchema,
         partition: PartitionMap,
         shards: usize,
         config: EngineConfig,
     ) -> Result<Engine> {
-        access.validate(db.schema())?;
-        for (relation, attrs) in access.required_indexes() {
-            if !attrs.is_empty() {
-                db.declare_index(&relation, &attrs)?;
-            }
-        }
-        let stats = Arc::new(db.statistics());
-        let store = ShardedSnapshotStore::new(db, partition, shards)?;
+        let (store, stats) = Self::prepare(db, &access, partition, shards)?;
         Ok(Self::build(
-            Backend::Sharded(store),
+            store,
             access,
             stats,
             config,
@@ -2276,46 +2061,48 @@ impl Engine {
     /// checkpoint captures every shard's pages and the partition map, so
     /// recovery rebuilds the same layout and routing.
     pub fn new_sharded_durable(
-        mut db: Database,
+        db: Database,
         access: AccessSchema,
         partition: PartitionMap,
         shards: usize,
         storage: Box<dyn si_durability::Storage>,
         config: EngineConfig,
     ) -> Result<Engine> {
-        access.validate(db.schema())?;
-        for (relation, attrs) in access.required_indexes() {
-            if !attrs.is_empty() {
-                db.declare_index(&relation, &attrs)?;
-            }
-        }
-        let stats = Arc::new(db.statistics());
-        let store = ShardedSnapshotStore::new(db, partition, shards)?;
+        let (store, stats) = Self::prepare(db, &access, partition, shards)?;
         let wal = Wal::create(storage, &Checkpoint::sharded(&store.pin()))
             .map_err(EngineError::Durability)?;
-        let policy = config.durability.clone().unwrap_or_default();
         Ok(Self::build(
-            Backend::Sharded(store),
+            store,
             access,
             stats,
             config,
-            Some(DurableState {
-                wal,
-                policy,
-                passes: 0,
-            }),
+            Some(wal),
             Arc::new(SubscriptionRegistry::new()),
         ))
+    }
+
+    /// The constructors' shared first step: validate `access` against the
+    /// schema and declare its indexes, collect the statistics of epoch 0,
+    /// then partition `db` into the engine's store.
+    fn prepare(
+        mut db: Database,
+        access: &AccessSchema,
+        partition: PartitionMap,
+        shards: usize,
+    ) -> Result<(ShardedSnapshotStore, Arc<DatabaseStats>)> {
+        declare_indexes(&mut db, access)?;
+        let stats = Arc::new(db.statistics());
+        Ok((ShardedSnapshotStore::new(db, partition, shards)?, stats))
     }
 
     /// Rebuilds a durable engine from `storage` after a crash: newest valid
     /// checkpoint + replay of the contiguous log tail (the torn final
     /// record, if any, is dropped and the log repaired in place).  The
-    /// recovered store resumes at the durable epoch, on the same backend
-    /// flavour (single or sharded, with the checkpointed partition map);
-    /// statistics are re-collected from scratch, declared indexes rebuild
-    /// lazily, and the materialized answer cache restarts cold — derived
-    /// state is never trusted from disk.
+    /// recovered store resumes at the durable epoch with the checkpointed
+    /// shard layout and partition map (a single-store checkpoint restores
+    /// as one shard); statistics are re-collected from scratch, declared
+    /// indexes rebuild lazily, and the materialized answer cache restarts
+    /// cold — derived state is never trusted from disk.
     pub fn recover(
         storage: Box<dyn si_durability::Storage>,
         access: AccessSchema,
@@ -2371,52 +2158,35 @@ impl Engine {
         subscriptions: Arc<SubscriptionRegistry>,
     ) -> Result<Engine> {
         let (recovered, wal) = Wal::recover(storage).map_err(EngineError::Durability)?;
-        let epoch = recovered.epoch;
         let mut databases = recovered.databases;
         for db in &mut databases {
-            access.validate(db.schema())?;
-            for (relation, attrs) in access.required_indexes() {
-                if !attrs.is_empty() {
-                    db.declare_index(&relation, &attrs)?;
-                }
-            }
+            declare_indexes(db, &access)?;
         }
-        let store = match recovered.backend {
-            CheckpointBackend::Single => {
-                if databases.len() != 1 {
-                    return Err(EngineError::Durability(DurabilityError::Invariant(
-                        "single-store checkpoint with multiple shards".into(),
-                    )));
-                }
-                let db = databases.pop().expect("length checked above");
-                Backend::Single(SnapshotStore::restore(db, epoch))
-            }
-            CheckpointBackend::Sharded { partition } => {
-                Backend::Sharded(ShardedSnapshotStore::restore(databases, partition, epoch)?)
-            }
+        let partition = match recovered.backend {
+            CheckpointBackend::Sharded { partition } => partition,
+            // A single-store checkpoint (what unsharded durable engines
+            // wrote before every engine ran on the sharded store) holds one
+            // database: it restores as a 1-shard store.
+            CheckpointBackend::Single => PartitionMap::new(),
         };
+        let store = ShardedSnapshotStore::restore(databases, partition, recovered.epoch)?;
         let stats = Arc::new(store.pin().statistics());
-        let policy = config.durability.clone().unwrap_or_default();
         Ok(Self::build(
             store,
             access,
             stats,
             config,
-            Some(DurableState {
-                wal,
-                policy,
-                passes: 0,
-            }),
+            Some(wal),
             subscriptions,
         ))
     }
 
     fn build(
-        store: Backend,
+        store: ShardedSnapshotStore,
         access: AccessSchema,
         stats: Arc<DatabaseStats>,
         config: EngineConfig,
-        wal: Option<DurableState>,
+        wal: Option<Wal>,
         subscriptions: Arc<SubscriptionRegistry>,
     ) -> Engine {
         let shared = Arc::new(Shared {
@@ -2448,7 +2218,13 @@ impl Engine {
             batched_requests: AtomicU64::new(0),
             shared_fetches: AtomicU64::new(0),
             queued: AtomicUsize::new(0),
-            wal: wal.map(Mutex::new),
+            wal: wal.map(|wal| {
+                Mutex::new(DurableState {
+                    wal,
+                    policy: config.durability.clone().unwrap_or_default(),
+                    passes: 0,
+                })
+            }),
             telemetry: EngineTelemetry::new(&config),
             replication: RwLock::new(None),
             config: config.clone(),
@@ -2479,20 +2255,30 @@ impl Engine {
 
     /// Serves a request against a caller-pinned snapshot version instead of
     /// the current one — the reader side of snapshot isolation: hold the
-    /// `Arc` from [`Engine::snapshot`] and every execution sees exactly that
-    /// version, no matter how many commits happen meanwhile.
+    /// snapshot from [`Engine::snapshot`] and every execution sees exactly
+    /// that version, no matter how many commits happen meanwhile.
+    ///
+    /// Fails with [`EngineError::EpochUnavailable`] for a version this engine
+    /// does not hold: one from a later epoch than it has committed, or a
+    /// `Single` snapshot, which no engine produces.
     pub fn execute_at(
         &self,
         snapshot: &EngineSnapshot,
         request: &Request,
     ) -> Result<QueryResponse> {
-        self.shared.serve_at(snapshot, request)
+        match snapshot {
+            EngineSnapshot::Sharded(view) => self.shared.serve_at(view, request),
+            EngineSnapshot::Single(snap) => Err(EngineError::EpochUnavailable {
+                requested: snap.epoch(),
+                newest: self.epoch(),
+            }),
+        }
     }
 
     /// Attaches (or re-attaches) a shard replica over `transport`, syncing
     /// it to the current version before it joins the serving set.
     ///
-    /// Sharded engines only.  The handshake runs under the commit lock, so
+    /// The handshake runs under the commit lock, so
     /// no commit can slip between the resync and the live WAL stream: the
     /// replica is brought to the pinned epoch — by replaying the logged
     /// record tail when it bridges the gap, or by a full snapshot bootstrap
@@ -2510,11 +2296,7 @@ impl Engine {
             .commit_lock
             .lock()
             .expect("commit lock poisoned");
-        let Backend::Sharded(store) = &self.shared.store else {
-            return Err(EngineError::Replication(
-                "replication requires a sharded engine".to_owned(),
-            ));
-        };
+        let store = &self.shared.store;
         let view = store.pin();
         let set = {
             let existing = self
@@ -2724,10 +2506,7 @@ impl Engine {
             .commit_lock
             .lock()
             .expect("commit lock poisoned");
-        let ckpt = match self.shared.store.pin() {
-            EngineSnapshot::Single(snap) => Checkpoint::single(&snap),
-            EngineSnapshot::Sharded(view) => Checkpoint::sharded(&view),
-        };
+        let ckpt = Checkpoint::sharded(&self.shared.store.pin());
         let mut durable = wal.lock().expect("wal lock poisoned");
         let keep = durable.policy.keep_checkpoints;
         durable
@@ -2736,26 +2515,21 @@ impl Engine {
             .map_err(EngineError::Durability)
     }
 
-    /// Pins the current snapshot version (uniform over single-store and
-    /// sharded engines).
+    /// Pins the current snapshot version: always a `Sharded` view (one shard
+    /// on an unsharded engine).
     pub fn snapshot(&self) -> EngineSnapshot {
-        self.shared.store.pin()
+        EngineSnapshot::Sharded(self.shared.store.pin())
     }
 
-    /// Number of data shards (1 for single-store engines).
+    /// Number of data shards (1 for an engine built with [`Engine::new`]).
     pub fn data_shards(&self) -> usize {
-        match &self.shared.store {
-            Backend::Single(_) => 1,
-            Backend::Sharded(store) => store.shard_count(),
-        }
+        self.shared.store.shard_count()
     }
 
-    /// Per-shard balance numbers (empty for single-store engines).
+    /// Per-shard balance numbers, one entry per data shard (one entry
+    /// holding every row on an unsharded engine).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        match &self.shared.store {
-            Backend::Single(_) => Vec::new(),
-            Backend::Sharded(store) => store.shard_stats(),
-        }
+        self.shared.store.shard_stats()
     }
 
     /// The current snapshot epoch.
@@ -3013,7 +2787,7 @@ mod tests {
 
     #[test]
     fn execute_at_refuses_epochs_the_store_has_not_committed() {
-        // Single-store: a snapshot from another engine's future is refused
+        // Unsharded: a snapshot from another engine's future is refused
         // with a typed error instead of silently serving foreign data.
         let behind = engine(EngineConfig::default());
         let ahead = engine(EngineConfig::default());
@@ -3049,7 +2823,7 @@ mod tests {
             }
         );
 
-        // Sharded backends enforce the same guard.
+        // Sharded engines enforce the same guard.
         let behind = sharded_engine(3, EngineConfig::default());
         let ahead = sharded_engine(3, EngineConfig::default());
         ahead
@@ -3370,7 +3144,9 @@ mod tests {
             assert_eq!(after.epoch, 1);
         }
         assert_eq!(plain.data_shards(), 1);
-        assert!(plain.shard_stats().is_empty());
+        let stats = plain.shard_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].rows, small_db().size());
     }
 
     #[test]
@@ -4032,6 +3808,48 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn single_store_checkpoints_recover_as_one_shard() {
+        // The storage unsharded durable engines wrote before every engine
+        // ran on the sharded store: a single-store base checkpoint plus
+        // logged records.
+        let disk = SimDisk::new();
+        let base = DatabaseSnapshot::from_database(small_db());
+        let mut wal = Wal::create(Box::new(disk.clone()), &Checkpoint::single(&base)).unwrap();
+        let deltas = [
+            Delta::new().insert("friend", tuple![3, 1]).clone(),
+            Delta::new()
+                .delete("friend", tuple![1, 2])
+                .insert("person", tuple![9, "eve", "NYC"])
+                .clone(),
+        ];
+        let mut oracle = small_db();
+        for (epoch, delta) in (1..).zip(&deltas) {
+            wal.append(epoch, delta).unwrap();
+            delta.apply_in_place(&mut oracle).unwrap();
+        }
+        drop(wal);
+
+        let recovered = Engine::recover(
+            Box::new(disk),
+            si_access::facebook_access_schema(5000),
+            EngineConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(recovered.data_shards(), 1);
+        assert_eq!(recovered.epoch(), 2);
+        let merged = recovered.snapshot().to_database();
+        assert!(merged.contains_database(&oracle) && oracle.contains_database(&merged));
+        for p in 1..=4 {
+            let mut served = recovered.execute(&req(p)).unwrap().answers;
+            served.sort();
+            let bound = q1().bind(&[("p".into(), Value::int(p))]);
+            let mut naive = si_query::evaluate_cq(&bound, &oracle, None).unwrap();
+            naive.sort();
+            assert_eq!(served, naive, "p={p}");
+        }
     }
 
     #[test]

@@ -529,3 +529,26 @@ fn overload_shedding_reports_queue_pressure() {
     assert!(shed > 0, "no submission was shed");
     assert_eq!(engine.metrics().shed_overload, shed);
 }
+
+#[test]
+fn unsharded_engines_pin_one_shard_views_and_refuse_single_store_snapshots() {
+    let engine = engine(EngineConfig::default());
+    // `Engine::new` is the 1-shard case of the sharded store.
+    let si_engine::EngineSnapshot::Sharded(view) = engine.snapshot() else {
+        panic!("engines pin sharded views");
+    };
+    assert_eq!(view.shard_count(), 1);
+    // No engine produces `Single`, so it names a version this engine does
+    // not hold.
+    let foreign = si_engine::EngineSnapshot::Single(std::sync::Arc::new(
+        si_data::DatabaseSnapshot::from_database(generated_db()),
+    ));
+    let request = Request::new(si_workload::q1(), vec!["p".into()], vec![Value::int(1)]);
+    assert_eq!(
+        engine.execute_at(&foreign, &request).unwrap_err(),
+        EngineError::EpochUnavailable {
+            requested: 0,
+            newest: 0
+        }
+    );
+}

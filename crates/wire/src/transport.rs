@@ -17,7 +17,7 @@ use crate::{WireError, WireResult};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// A blocking bidirectional byte stream.  All methods take `&self`;
 /// implementations synchronise internally.
@@ -95,7 +95,9 @@ impl Pipe {
     }
 
     fn close(&self) {
-        let mut buf = self.inner.lock().expect("pipe lock");
+        // Setting the flag is valid at every step, so a guard poisoned by a
+        // panicking writer is still safe to use — and `Drop` calls this.
+        let mut buf = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         buf.closed = true;
         self.cv.notify_all();
     }
@@ -103,7 +105,11 @@ impl Pipe {
 
 /// An in-process transport endpoint: writes go to the outbound pipe, reads
 /// drain the inbound pipe.  Create a crossed pair with [`Duplex::pair`].
-#[derive(Debug, Clone)]
+///
+/// Dropping an endpoint closes both directions, as closing a socket does:
+/// the peer reads whatever was already written, then
+/// [`WireError::Closed`], instead of blocking forever.
+#[derive(Debug)]
 pub struct Duplex {
     outbound: Arc<Pipe>,
     inbound: Arc<Pipe>,
@@ -149,6 +155,12 @@ impl Transport for Duplex {
     fn shutdown(&self) {
         self.outbound.close();
         self.inbound.close();
+    }
+}
+
+impl Drop for Duplex {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -264,6 +276,29 @@ mod tests {
             b.read_exact(&mut buf)
         });
         a.shutdown();
+        assert!(matches!(t.join().unwrap(), Err(WireError::Closed)));
+    }
+
+    #[test]
+    fn dropping_one_end_closes_the_other() {
+        let (a, b) = Duplex::pair();
+        a.write_all(b"bye").unwrap();
+        drop(a);
+        // Bytes written before the drop still arrive; then the wire is
+        // closed both ways.
+        let mut buf = [0u8; 3];
+        b.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"bye");
+        assert!(matches!(b.read_exact(&mut buf), Err(WireError::Closed)));
+        assert!(matches!(b.write_all(b"?"), Err(WireError::Closed)));
+
+        // A reader already blocked on the peer wakes up too.
+        let (a, b) = Duplex::pair();
+        let t = thread::spawn(move || {
+            let mut buf = [0u8; 1];
+            b.read_exact(&mut buf)
+        });
+        drop(a);
         assert!(matches!(t.join().unwrap(), Err(WireError::Closed)));
     }
 

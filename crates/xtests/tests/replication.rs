@@ -12,7 +12,8 @@
 //! * sharded engines at shard counts {1, 2, 8} (`Engine::execute`), and
 //! * the **same sharded engines through their attached replicas**
 //!   (`Engine::execute_replicated`) — every probe crosses the framed wire
-//!   protocol to a `ShardReplica` behind an in-process duplex pipe,
+//!   protocol to a `ShardReplica` behind an in-process duplex pipe — plus,
+//!   once per seed, the unsharded engine through its own replica,
 //!
 //! asserting that answers (sorted), the full access meter, the epoch and
 //! the static cost are identical, with 0 divergent cases.  Further suites
@@ -199,14 +200,15 @@ fn replicated_serving_is_answer_epoch_and_meter_identical_under_commits() {
         let db = seeded_db(seed);
         let access = access();
         let plain = Engine::new(db.clone(), access.clone(), config()).unwrap();
-        // Replication needs a sharded backend: the unsharded engine refuses
-        // the attach with a typed error.
-        assert!(matches!(
-            plain
-                .attach_replica(0, Arc::new(Duplex::pair().0))
-                .unwrap_err(),
-            EngineError::Replication(_)
-        ));
+        // The unsharded engine is the 1-shard case of the sharded store, so
+        // one replica serves its whole instance.
+        let _plain_fleet = attach_fleet(&plain, 1);
+        let probe = Request::new(si_workload::q1(), vec!["p".into()], vec![Value::int(1)]);
+        let local = plain.execute(&probe).unwrap();
+        let remote = plain.execute_replicated(&probe).unwrap();
+        assert_eq!(sorted(remote.answers), sorted(local.answers), "seed {seed}");
+        assert_eq!(remote.epoch, local.epoch, "seed {seed}");
+        assert_eq!(remote.accesses, local.accesses, "seed {seed}");
         let sharded: Vec<Engine> = SHARD_COUNTS
             .iter()
             .map(|&n| {
@@ -391,6 +393,32 @@ fn severed_wire_resyncs_on_reconnect_via_wal_replay_and_snapshot() {
     assert_eq!(remote.epoch, epoch);
     assert_eq!(sorted(remote.answers), sorted(local.answers));
     assert_eq!(remote.accesses, local.accesses);
+}
+
+#[test]
+fn attaching_over_a_dropped_peer_fails_instead_of_hanging() {
+    let engine =
+        Engine::new_sharded(seeded_db(1), access(), social_partition_map(), 2, config()).unwrap();
+    let (primary_end, replica_end) = Duplex::pair();
+    drop(replica_end);
+    // The attach runs on its own thread so a hang fails the test instead of
+    // stalling the suite; the engine comes back through the join.
+    let (done, finished) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let outcome = engine.attach_replica(0, Arc::new(primary_end));
+        let _ = done.send(());
+        (engine, outcome)
+    });
+    finished
+        .recv_timeout(Duration::from_secs(5))
+        .expect("attach over a dropped peer never returned");
+    let (engine, outcome) = worker.join().unwrap();
+    assert!(matches!(outcome, Err(EngineError::Replication(_))));
+    // The attach held the commit lock; it is released, so commits proceed.
+    let epoch = engine
+        .commit(Delta::new().insert("visit", tuple_of(&[1, 8_000_000])))
+        .unwrap();
+    assert_eq!(epoch, 1);
 }
 
 #[test]
