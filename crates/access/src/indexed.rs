@@ -250,15 +250,15 @@ impl AccessIndexedDatabase {
         AccessSource::fetch_embedded(self, relation, attrs, key, onto)
     }
 
-    /// Membership probe: is `tuple` in `relation`?
+    /// Membership probe: is the tuple with exactly `values` in `relation`?
     ///
     /// Providing values for *all* attributes identifies at most one tuple, so
     /// a membership probe is always permitted regardless of the access
     /// schema (this is the implicit "controlled by all its free variables"
     /// reading used in Example 4.1 of the paper).  It is charged as one probe
     /// fetching at most one tuple.
-    pub fn contains(&self, relation: &str, tuple: &Tuple) -> Result<bool, AccessError> {
-        AccessSource::contains(self, relation, tuple)
+    pub fn contains(&self, relation: &str, values: &[Value]) -> Result<bool, AccessError> {
+        AccessSource::contains(self, relation, values)
     }
 
     /// Retrieves the entire relation.  Only allowed when the access schema
@@ -500,12 +500,12 @@ mod tests {
     #[test]
     fn membership_probe_is_always_allowed_and_cheap() {
         let adb = AccessIndexedDatabase::new(db(), facebook_access_schema(5000)).unwrap();
-        assert!(adb.contains("visit", &tuple![2, 10]).unwrap());
-        assert!(!adb.contains("visit", &tuple![9, 9]).unwrap());
+        assert!(adb.contains("visit", tuple![2, 10].values()).unwrap());
+        assert!(!adb.contains("visit", tuple![9, 9].values()).unwrap());
         let snap = adb.meter_snapshot();
         assert_eq!(snap.index_probes, 2);
         assert_eq!(snap.tuples_fetched, 1);
-        assert!(adb.contains("enemy", &tuple![1]).is_err());
+        assert!(adb.contains("enemy", tuple![1].values()).is_err());
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!
 //! * The **replica** runs only [`crate::source::raw_index_probe`] — the
 //!   pushed-down `select_eq` (or bounded iteration for `X = ∅`) — and
-//!   returns the raw matches in shard-local order.  No residual filtering,
-//!   no projection, no metering happens remotely.
+//!   returns the raw matches in shard-local order, which the primary's
+//!   [`AccessSource::for_each_via`] iterates.  No residual filtering, no
+//!   projection, no metering happens remotely.
 //! * The **primary** (this type) does everything else exactly as
 //!   `ShardedAccess` does: the `split_probe` decomposition, routing on
 //!   literal partition-column equalities in the pushed-down part, the
@@ -32,15 +33,17 @@
 //!
 //! Routing decisions are made against the router, never against data, so
 //! they are exactly the decisions `ShardedAccess` makes
-//! ([`PartitionRouter::attribute`] answers the same question
-//! `ShardedSnapshotView::partition_attribute` does).  Fan-out gathers in
+//! ([`PartitionRouter::position`] answers the same question
+//! `ShardedSnapshotView::partition_position` does).  Fan-out gathers in
 //! shard order (shard 0 first) like the in-process surface.
 
 use crate::constraint::AccessConstraint;
 use crate::indexed::AccessError;
 use crate::schema::AccessSchema;
 use crate::source::{best_embedded, split_probe, AccessSource, ProbeSplit};
-use si_data::{AccessMeter, DatabaseSchema, MeterSink, PartitionRouter, Relation, Tuple, Value};
+use si_data::{
+    AccessMeter, DatabaseSchema, MeterSink, PartitionRouter, Relation, RelationSchema, Tuple, Value,
+};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -158,56 +161,49 @@ impl<P: ShardProber, M: MeterSink> ReplicatedAccess<P, M> {
     /// The shard pinned by a literal equality on `relation`'s partition
     /// column within the pushed-down probe part; `None` forces fan-out.
     /// Mirrors `ShardedAccess::route_for` decision-for-decision.
-    fn route_for(
-        &self,
-        relation: &str,
-        index_attrs: &[String],
-        index_key: &[Value],
-    ) -> Option<usize> {
-        let partition = self.router.attribute(relation)?;
-        index_attrs
-            .iter()
-            .position(|a| a == partition)
-            .and_then(|i| self.router.route_value(relation, index_key[i]))
+    fn route_for(&self, relation: &str, split: &ProbeSplit) -> Option<usize> {
+        let position = self.router.position(relation)?;
+        let value = split.index_value(position)?;
+        self.router.route_value(relation, value)
     }
 
     /// Pruned-mode fallback: a literal partition-column equality in the
     /// residual filter also pins the shard.
-    fn route_for_residual(&self, relation: &str, filter: &[(usize, Value)]) -> Option<usize> {
+    fn route_for_residual(&self, relation: &str, split: &ProbeSplit) -> Option<usize> {
         if !self.prune_residual_routes {
             return None;
         }
         let position = self.router.position(relation)?;
-        filter
-            .iter()
-            .find(|(p, _)| *p == position)
-            .and_then(|(_, v)| self.router.route_value(relation, *v))
+        let value = split.filter_value(position)?;
+        self.router.route_value(relation, value)
     }
 
     /// Runs the pushed-down probe on the routed replica, or on every
     /// replica in shard order, concatenating the raw fetched tuples.
     fn gather_split(
         &self,
-        relation: &str,
+        rel_schema: &RelationSchema,
         target: Option<usize>,
         split: &ProbeSplit,
     ) -> Result<Vec<Tuple>, AccessError> {
+        let relation = rel_schema.name();
+        // The wire speaks attribute names; the split resolved positions.
+        let attrs: Vec<String> = split
+            .index_positions()
+            .iter()
+            .map(|&p| rel_schema.attributes()[p].clone())
+            .collect();
+        let key = split.index_key();
         match target {
             Some(shard) => {
                 self.routed.set(self.routed.get() + 1);
-                self.prober
-                    .probe(shard, relation, &split.index_attrs, &split.index_key)
+                self.prober.probe(shard, relation, &attrs, key)
             }
             None => {
                 self.fanned.set(self.fanned.get() + 1);
                 let mut out = Vec::new();
                 for shard in 0..self.prober.shard_count() {
-                    out.extend(self.prober.probe(
-                        shard,
-                        relation,
-                        &split.index_attrs,
-                        &split.index_key,
-                    )?);
+                    out.extend(self.prober.probe(shard, relation, &attrs, key)?);
                 }
                 Ok(out)
             }
@@ -234,33 +230,29 @@ impl<P: ShardProber, M: MeterSink> AccessSource for ReplicatedAccess<P, M> {
         &self.meter
     }
 
-    fn fetch_via(
+    fn for_each_via(
         &self,
         constraint: &AccessConstraint,
         relation: &str,
         attrs: &[String],
         key: &[Value],
-    ) -> Result<Vec<Tuple>, AccessError> {
+        f: &mut dyn FnMut(&Tuple),
+    ) -> Result<(), AccessError> {
         debug_assert_eq!(constraint.relation, relation);
         let rel_schema = self.schema.relation(relation)?;
-        // The same split the unsharded and sharded surfaces run; the
-        // replica executes only its pushed-down part.
+        // The same split and charging the unsharded and sharded surfaces
+        // run; the replica executes only its pushed-down part, and the
+        // owned wire rows are iterated here.
         let split = split_probe(&constraint.on, rel_schema, attrs, key)?;
-
         let target = self
-            .route_for(relation, &split.index_attrs, &split.index_key)
-            .or_else(|| self.route_for_residual(relation, &split.filter));
-
-        self.meter.add_probe();
-        self.meter.add_time(constraint.time);
-
-        let fetched = self.gather_split(relation, target, &split)?;
-        self.meter.add_tuples(fetched.len() as u64);
-
-        Ok(fetched
-            .into_iter()
-            .filter(|t| split.residual_keeps(t))
-            .collect())
+            .route_for(relation, &split)
+            .or_else(|| self.route_for_residual(relation, &split));
+        split.metered_fetch(&self.meter, constraint.time, f, |raw| {
+            self.gather_split(rel_schema, target, &split)?
+                .iter()
+                .for_each(raw);
+            Ok(())
+        })
     }
 
     fn fetch_embedded(
@@ -278,23 +270,24 @@ impl<P: ShardProber, M: MeterSink> AccessSource for ReplicatedAccess<P, M> {
         // Route only on the pushed-down part — an embedded output binding
         // of the partition column enumerates many partition values, so it
         // must fan out (same rule, and same regression, as ShardedAccess).
-        let target = self.route_for(relation, &split.index_attrs, &split.index_key);
+        let target = self.route_for(relation, &split);
 
-        self.meter.add_probe();
-        self.meter.add_time(constraint.time);
-
-        let fetched = self.gather_split(relation, target, &split)?;
-        let out = split.project_dedup(fetched, &positions);
-        self.meter.add_tuples(out.len() as u64);
-        Ok(out)
+        split.metered_embedded(&self.meter, constraint.time, &positions, |raw| {
+            self.gather_split(rel_schema, target, &split)?
+                .iter()
+                .for_each(raw);
+            Ok(())
+        })
     }
 
-    fn contains(&self, relation: &str, tuple: &Tuple) -> Result<bool, AccessError> {
-        // A membership probe carries the whole tuple: routing is total.
-        let shard = self.router.route(relation, tuple);
+    fn contains(&self, relation: &str, values: &[Value]) -> Result<bool, AccessError> {
+        // A membership probe carries the whole tuple: routing is total.  The
+        // wire carries an owned tuple.
+        let tuple = Tuple::new(values.to_vec());
+        let shard = self.router.route(relation, &tuple);
         self.meter.add_probe();
         self.meter.add_time(1);
-        let found = self.prober.contains(shard, relation, tuple)?;
+        let found = self.prober.contains(shard, relation, &tuple)?;
         if found {
             self.meter.add_tuples(1);
         }
@@ -444,10 +437,14 @@ mod tests {
     #[test]
     fn contains_and_scan_mirror_sharded() {
         let (sharded, replicated, _) = surfaces(3);
-        assert!(replicated.contains("friend", &tuple![0, 7]).unwrap());
-        assert!(!replicated.contains("friend", &tuple![9, 9]).unwrap());
-        sharded.contains("friend", &tuple![0, 7]).unwrap();
-        sharded.contains("friend", &tuple![9, 9]).unwrap();
+        assert!(replicated
+            .contains("friend", tuple![0, 7].values())
+            .unwrap());
+        assert!(!replicated
+            .contains("friend", tuple![9, 9].values())
+            .unwrap());
+        sharded.contains("friend", tuple![0, 7].values()).unwrap();
+        sharded.contains("friend", tuple![9, 9].values()).unwrap();
         assert_eq!(sharded.meter_snapshot(), replicated.meter_snapshot());
 
         assert!(matches!(

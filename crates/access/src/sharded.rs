@@ -147,45 +147,34 @@ impl<M: MeterSink> ShardedAccess<M> {
     }
 
     /// The shard pinned by a literal equality on `relation`'s partition
-    /// column among the `(attribute, value)` probe pairs, restricted to
-    /// attributes in `index_part`; `None` forces fan-out.
-    fn route_for(
-        &self,
-        relation: &str,
-        index_attrs: &[String],
-        index_key: &[Value],
-    ) -> Option<usize> {
-        let partition = self.view.partition_attribute(relation)?;
-        index_attrs
-            .iter()
-            .position(|a| a == partition)
-            .and_then(|i| self.view.route_value(relation, index_key[i]))
+    /// column within the split's pushed-down part; `None` forces fan-out.
+    fn route_for(&self, relation: &str, split: &ProbeSplit) -> Option<usize> {
+        let position = self.view.partition_position(relation)?;
+        let value = split.index_value(position)?;
+        self.view.route_value(relation, value)
     }
 
     /// Pruned-mode fallback: a literal partition-column equality in the
     /// residual filter also pins the shard.
-    fn route_for_residual(&self, relation: &str, filter: &[(usize, Value)]) -> Option<usize> {
+    fn route_for_residual(&self, relation: &str, split: &ProbeSplit) -> Option<usize> {
         if !self.prune_residual_routes {
             return None;
         }
         let position = self.view.partition_position(relation)?;
-        filter
-            .iter()
-            .find(|(p, _)| *p == position)
-            .and_then(|(_, v)| self.view.route_value(relation, *v))
+        let value = split.filter_value(position)?;
+        self.view.route_value(relation, value)
     }
 
     /// Runs the shared [`ProbeSplit`] index probe over the routed shard, or
-    /// over every shard in shard order when `target` is `None`,
-    /// concatenating the fetched tuples.  The first non-empty probe result
-    /// becomes the output vector itself, so a fetch that touches one shard —
-    /// routed, or fanned over a 1-shard view — copies nothing.
-    fn gather_split(
+    /// over every shard in shard order when `target` is `None`, handing each
+    /// raw (pre-residual) match to `f` borrowed from its shard.
+    fn probe_shards(
         &self,
         relation: &str,
         target: Option<usize>,
         split: &ProbeSplit,
-    ) -> Result<Vec<Tuple>, AccessError> {
+        f: &mut dyn FnMut(&Tuple),
+    ) -> Result<(), AccessError> {
         let shards = match target {
             Some(shard) => {
                 self.routed.set(self.routed.get() + 1);
@@ -196,16 +185,10 @@ impl<M: MeterSink> ShardedAccess<M> {
                 self.view.shards()
             }
         };
-        let mut out = Vec::new();
         for shard in shards {
-            let rows = split.probe(shard.relation(relation)?)?;
-            if out.is_empty() {
-                out = rows;
-            } else {
-                out.extend(rows);
-            }
+            split.for_each(shard.relation(relation)?, f);
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -228,34 +211,27 @@ impl<M: MeterSink> AccessSource for ShardedAccess<M> {
         &self.meter
     }
 
-    fn fetch_via(
+    fn for_each_via(
         &self,
         constraint: &AccessConstraint,
         relation: &str,
         attrs: &[String],
         key: &[Value],
-    ) -> Result<Vec<Tuple>, AccessError> {
+        f: &mut dyn FnMut(&Tuple),
+    ) -> Result<(), AccessError> {
         debug_assert_eq!(constraint.relation, relation);
         let rel_schema = self.view.schema().relation(relation)?;
-        // The exact split the unsharded surface runs (shared code, so the
-        // mirror-accounting guarantee cannot drift): the constraint's X
-        // forms the index key, the rest is a residual filter.
+        // The exact split and charging the unsharded surface runs (shared
+        // code, so the mirror-accounting guarantee cannot drift): the
+        // constraint's X forms the index key, the rest is a residual filter,
+        // and the pre-residual count is charged once for the logical fetch.
         let split = split_probe(&constraint.on, rel_schema, attrs, key)?;
-
         let target = self
-            .route_for(relation, &split.index_attrs, &split.index_key)
-            .or_else(|| self.route_for_residual(relation, &split.filter));
-
-        self.meter.add_probe();
-        self.meter.add_time(constraint.time);
-
-        let fetched = self.gather_split(relation, target, &split)?;
-        self.meter.add_tuples(fetched.len() as u64);
-
-        Ok(fetched
-            .into_iter()
-            .filter(|t| split.residual_keeps(t))
-            .collect())
+            .route_for(relation, &split)
+            .or_else(|| self.route_for_residual(relation, &split));
+        split.metered_fetch(&self.meter, constraint.time, f, |raw| {
+            self.probe_shards(relation, target, &split, raw)
+        })
     }
 
     fn fetch_embedded(
@@ -277,27 +253,23 @@ impl<M: MeterSink> AccessSource for ShardedAccess<M> {
         // appearing in `onto` binds it through the constraint's *output* —
         // its values vary per matching tuple, so single-shard routing would
         // be wrong; fan out (this is the regression the tests pin).
-        let target = self.route_for(relation, &split.index_attrs, &split.index_key);
-
-        self.meter.add_probe();
-        self.meter.add_time(constraint.time);
+        let target = self.route_for(relation, &split);
 
         // Cross-shard fetch in shard-merged order, then one dedup over the
         // merged sequence: the deduplicated *set* equals the unsharded one.
-        let fetched = self.gather_split(relation, target, &split)?;
-        let out = split.project_dedup(fetched, &positions);
-        self.meter.add_tuples(out.len() as u64);
-        Ok(out)
+        split.metered_embedded(&self.meter, constraint.time, &positions, |raw| {
+            self.probe_shards(relation, target, &split, raw)
+        })
     }
 
-    fn contains(&self, relation: &str, tuple: &Tuple) -> Result<bool, AccessError> {
+    fn contains(&self, relation: &str, values: &[Value]) -> Result<bool, AccessError> {
         // A membership probe carries the whole tuple, so its home shard is
         // always known — routing is total here.
-        let shard = self.view.route_tuple(relation, tuple);
+        let shard = self.view.route_tuple(relation, values);
         let rel = self.view.shard(shard).relation(relation)?;
         self.meter.add_probe();
         self.meter.add_time(1);
-        let found = rel.contains(tuple);
+        let found = rel.contains_values(values);
         if found {
             self.meter.add_tuples(1);
         }
@@ -522,8 +494,8 @@ mod tests {
     fn contains_routes_to_the_home_shard() {
         let (view, access) = sharded(3);
         let sa: ShardedAccess = ShardedAccess::new(view, access);
-        assert!(sa.contains("friend", &tuple![0, 7]).unwrap());
-        assert!(!sa.contains("friend", &tuple![9, 9]).unwrap());
+        assert!(sa.contains("friend", tuple![0, 7].values()).unwrap());
+        assert!(!sa.contains("friend", tuple![9, 9].values()).unwrap());
         let snap = sa.meter_snapshot();
         assert_eq!(snap.index_probes, 2);
         assert_eq!(snap.tuples_fetched, 1);

@@ -9,6 +9,14 @@
 //! answers, the witness `D_Q` (the base facts actually used) and the exact
 //! access cost.
 //!
+//! Fetches go through the borrowing primitive
+//! [`AccessSource::for_each_via`]: each fetched tuple is matched against the
+//! atom in place and extends a binding without being cloned.  The witness is
+//! recorded flat — the used facts' values appended to one arena, plus an
+//! `(atom, offset)` entry per fact — and only rendered into a [`Witness`] of
+//! `(relation, tuple)` facts when [`BoundedAnswer::witness`] is called, so a
+//! serving path that never reads it never pays for it.
+//!
 //! Assignments are flat [`Binding`]s over a [`VarTable`] built once per
 //! execution: variables are numbered up front, atoms and equalities are
 //! compiled to slot ids, and every extension step clones a flat slab of
@@ -34,14 +42,95 @@ use si_query::binding::{Binding, VarId, VarTable};
 use si_query::Term;
 
 /// The result of executing a bounded plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The witness `D_Q` — the base facts fetched and used by the evaluation —
+/// is kept in the flat form the executor recorded it in and rendered by
+/// [`BoundedAnswer::witness`] on demand.  Equality compares answers, access
+/// cost and the rendered witness.
+#[derive(Debug, Clone)]
 pub struct BoundedAnswer {
     /// The answer tuples, projected onto the plan's output variables.
     pub answers: Vec<Tuple>,
-    /// The witness `D_Q`: the base facts fetched and used by the evaluation.
-    pub witness: Witness,
     /// The access cost of this execution (difference of meter snapshots).
     pub accesses: MeterSnapshot,
+    pub(crate) witness_log: WitnessLog,
+}
+
+impl BoundedAnswer {
+    /// An answer with an empty witness (evaluations that do not track one).
+    pub(crate) fn without_witness(answers: Vec<Tuple>, accesses: MeterSnapshot) -> Self {
+        BoundedAnswer {
+            answers,
+            accesses,
+            witness_log: WitnessLog::default(),
+        }
+    }
+
+    /// The witness `D_Q`: every base fact the evaluation fetched and used,
+    /// deduplicated, in the order the executor first used it (plan-step
+    /// major, row order within a step — also under partitioned execution).
+    ///
+    /// Rendered from the recorded log on each call: it allocates one
+    /// `(relation, tuple)` pair per distinct fact, so callers that need it
+    /// more than once should keep the result.
+    pub fn witness(&self) -> Witness {
+        self.witness_log.render()
+    }
+}
+
+impl PartialEq for BoundedAnswer {
+    fn eq(&self, other: &Self) -> bool {
+        self.answers == other.answers
+            && self.accesses == other.accesses
+            && self.witness() == other.witness()
+    }
+}
+
+impl Eq for BoundedAnswer {}
+
+/// The facts an execution used, recorded flat: one value arena plus a
+/// `(atom index, offset)` entry per fact, in the order they were used.  A
+/// fact's values run from its offset to the next fact's; its arity is the
+/// atom's.  Relation names are attached once, when the answer is finalised.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WitnessLog {
+    /// Relation name per atom of the plan's query.
+    relations: Vec<String>,
+    values: Vec<Value>,
+    facts: Vec<(usize, usize)>,
+}
+
+impl WitnessLog {
+    fn push(&mut self, atom: usize, values: &[Value]) {
+        self.facts.push((atom, self.values.len()));
+        self.values.extend_from_slice(values);
+    }
+
+    /// Appends `other`'s facts after this log's, preserving their order.
+    fn append(&mut self, other: WitnessLog) {
+        let base = self.values.len();
+        self.facts.extend(
+            other
+                .facts
+                .iter()
+                .map(|&(atom, offset)| (atom, base + offset)),
+        );
+        self.values.extend(other.values);
+    }
+
+    /// Renders the recorded facts as `(relation, tuple)` pairs,
+    /// deduplicated in first-use order.
+    fn render(&self) -> Witness {
+        let facts = self.facts.iter().enumerate().map(|(i, &(atom, start))| {
+            let end = self
+                .facts
+                .get(i + 1)
+                .map_or(self.values.len(), |&(_, next)| next);
+            let values = self.values[start..end].to_vec();
+            (self.relations[atom].clone(), Tuple::new(values))
+        });
+        Witness::from_facts(facts.collect())
+    }
 }
 
 /// An atom term compiled to the plan's variable table.
@@ -59,15 +148,14 @@ enum KeySrc {
 }
 
 /// Extends `binding` with the bindings induced by matching the compiled atom
-/// against `tuple`; returns `None` on any inconsistency (constant mismatch or
-/// conflicting variable binding).
-fn extend_binding(binding: &Binding, cterms: &[CTerm], tuple: &Tuple) -> Option<Binding> {
-    if tuple.arity() != cterms.len() {
+/// against a tuple's `values` (borrowed from storage); returns `None` on any
+/// inconsistency (constant mismatch or conflicting variable binding).
+fn extend_binding(binding: &Binding, cterms: &[CTerm], values: &[Value]) -> Option<Binding> {
+    if values.len() != cterms.len() {
         return None;
     }
     let mut extended = binding.clone();
-    for (pos, ct) in cterms.iter().enumerate() {
-        let value = tuple[pos];
+    for (ct, &value) in cterms.iter().zip(values) {
         match ct {
             CTerm::Const(c) => {
                 if *c != value {
@@ -178,7 +266,7 @@ fn compile(plan: &BoundedPlan, parameter_values: &[Value]) -> Result<CompiledPla
 }
 
 /// Runs a slice of plan steps over `rows` (phase 2), extending `bound` and
-/// appending the base facts used to `witness_facts`.
+/// recording the base facts used in `witness`.
 ///
 /// This is the morsel body: the sequential executor calls it once with every
 /// step, the partitioned executor calls it per worker with the tail of the
@@ -192,7 +280,7 @@ fn run_steps<A: AccessSource>(
     mut rows: Vec<Binding>,
     bound: &mut [bool],
     adb: &A,
-    witness_facts: &mut Vec<(String, Tuple)>,
+    witness: &mut WitnessLog,
 ) -> Result<Vec<Binding>, CoreError> {
     let schema = adb.db_schema();
     let vars = &compiled.vars;
@@ -240,8 +328,9 @@ fn run_steps<A: AccessSource>(
             }
         }
 
-        let atom = &plan.query.atoms[step.atom_index()];
-        let cterms = &compiled.cterms[step.atom_index()];
+        let atom_index = step.atom_index();
+        let atom = &plan.query.atoms[atom_index];
+        let cterms = &compiled.cterms[atom_index];
         let rel_schema = schema.relation(&atom.relation)?;
         let mut next: Vec<Binding> = Vec::new();
 
@@ -284,14 +373,15 @@ fn run_steps<A: AccessSource>(
                     // Fetch through the constraint the *planner* chose: the
                     // plan is the authority on the access path, so a tied or
                     // looser constraint in the schema cannot silently turn an
-                    // index-backed step into a bounded scan.
-                    let fetched = adb.fetch_via(constraint, &atom.relation, &fetch_attrs, &key)?;
-                    for tuple in fetched {
-                        if let Some(extended) = extend_binding(row, cterms, &tuple) {
-                            witness_facts.push((atom.relation.clone(), tuple));
+                    // index-backed step into a bounded scan.  Tuples arrive
+                    // borrowed; only the values of used facts are copied,
+                    // into the witness log.
+                    adb.for_each_via(constraint, &atom.relation, &fetch_attrs, &key, &mut |t| {
+                        if let Some(extended) = extend_binding(row, cterms, t.values()) {
+                            witness.push(atom_index, t.values());
                             next.push(extended);
                         }
-                    }
+                    })?;
                 }
                 for ct in cterms {
                     if let CTerm::Slot(id) = ct {
@@ -341,7 +431,7 @@ fn run_steps<A: AccessSource>(
                         adb.fetch_embedded(&atom.relation, &from_attrs, &key, onto)?;
                     for proj in projections {
                         // proj is a tuple over `onto` attribute order.
-                        if let Some(extended) = extend_binding(row, &onto_cterms, &proj) {
+                        if let Some(extended) = extend_binding(row, &onto_cterms, proj.values()) {
                             next.push(extended);
                         }
                     }
@@ -353,21 +443,23 @@ fn run_steps<A: AccessSource>(
                 }
             }
             PlanStep::Check { .. } => {
+                // The probed values are assembled in one reused buffer: no
+                // tuple is built to test membership.
+                let mut values: Vec<Value> = Vec::with_capacity(cterms.len());
                 for row in &rows {
-                    let tuple: Option<Tuple> = cterms
-                        .iter()
-                        .map(|ct| match ct {
-                            CTerm::Const(c) => Some(*c),
-                            CTerm::Slot(id) => row.get(*id),
-                        })
-                        .collect();
-                    let tuple = tuple.ok_or_else(|| {
-                        CoreError::Invariant(
-                            "membership check reached with unbound variables".into(),
-                        )
-                    })?;
-                    if adb.contains(&atom.relation, &tuple)? {
-                        witness_facts.push((atom.relation.clone(), tuple));
+                    values.clear();
+                    for ct in cterms {
+                        values.push(match ct {
+                            CTerm::Const(c) => *c,
+                            CTerm::Slot(id) => row.get(*id).ok_or_else(|| {
+                                CoreError::Invariant(
+                                    "membership check reached with unbound variables".into(),
+                                )
+                            })?,
+                        });
+                    }
+                    if adb.contains(&atom.relation, &values)? {
+                        witness.push(atom_index, &values);
                         next.push(row.clone());
                     }
                 }
@@ -384,7 +476,7 @@ fn finalize(
     plan: &BoundedPlan,
     compiled: &CompiledPlan,
     mut rows: Vec<Binding>,
-    witness_facts: Vec<(String, Tuple)>,
+    mut witness: WitnessLog,
     accesses: MeterSnapshot,
 ) -> Result<BoundedAnswer, CoreError> {
     // Final equality filter (covers equalities between variables bound by
@@ -421,10 +513,16 @@ fn finalize(
         answers.insert(tuple);
     }
 
+    witness.relations = plan
+        .query
+        .atoms
+        .iter()
+        .map(|a| a.relation.clone())
+        .collect();
     Ok(BoundedAnswer {
         answers: answers.into_vec(),
-        witness: Witness::from_facts(witness_facts),
         accesses,
+        witness_log: witness,
     })
 }
 
@@ -447,7 +545,7 @@ fn finalize(
 pub struct SharedFetch {
     compiled: CompiledPlan,
     rows: Vec<Binding>,
-    witness_facts: Vec<(String, Tuple)>,
+    witness: WitnessLog,
     accesses: MeterSnapshot,
 }
 
@@ -471,7 +569,7 @@ impl SharedFetch {
             plan,
             &self.compiled,
             self.rows.clone(),
-            self.witness_facts.clone(),
+            self.witness.clone(),
             self.accesses,
         )
     }
@@ -479,13 +577,7 @@ impl SharedFetch {
     /// Finalises the last answer, consuming the fetch (the single-request
     /// path: no clone of rows or witness).
     pub fn into_answer(self, plan: &BoundedPlan) -> Result<BoundedAnswer, CoreError> {
-        finalize(
-            plan,
-            &self.compiled,
-            self.rows,
-            self.witness_facts,
-            self.accesses,
-        )
+        finalize(plan, &self.compiled, self.rows, self.witness, self.accesses)
     }
 }
 
@@ -501,7 +593,7 @@ pub fn fetch_bounded<A: AccessSource>(
     let before = adb.meter_snapshot();
     let compiled = compile(plan, parameter_values)?;
     let mut bound = compiled.seed_bound.clone();
-    let mut witness_facts: Vec<(String, Tuple)> = Vec::new();
+    let mut witness = WitnessLog::default();
     let rows = run_steps(
         plan,
         &compiled,
@@ -509,13 +601,13 @@ pub fn fetch_bounded<A: AccessSource>(
         compiled.seed_rows.clone(),
         &mut bound,
         adb,
-        &mut witness_facts,
+        &mut witness,
     )?;
     let accesses = adb.meter_snapshot().since(&before);
     Ok(SharedFetch {
         compiled,
         rows,
-        witness_facts,
+        witness,
         accesses,
     })
 }
@@ -625,7 +717,7 @@ where
     let before = main.meter_snapshot();
     let compiled = compile(plan, parameter_values)?;
     let mut bound = compiled.seed_bound.clone();
-    let mut witness_facts: Vec<(String, Tuple)> = Vec::new();
+    let mut witness = WitnessLog::default();
     let (first, rest) = plan.steps.split_first().expect("checked: >= 2 steps");
     let rows = run_steps(
         plan,
@@ -634,25 +726,17 @@ where
         compiled.seed_rows.clone(),
         &mut bound,
         &main,
-        &mut witness_facts,
+        &mut witness,
     )?;
 
     if rows.len() < 2 {
-        let rows = run_steps(
-            plan,
-            &compiled,
-            rest,
-            rows,
-            &mut bound,
-            &main,
-            &mut witness_facts,
-        )?;
+        let rows = run_steps(plan, &compiled, rest, rows, &mut bound, &main, &mut witness)?;
         let accesses = main.meter_snapshot().since(&before);
         if let Some(sink) = sink.as_deref_mut() {
             sink.exec_phase(ExecPhase::Fetch, nanos_since(fetch_start));
         }
         let finalize_start = std::time::Instant::now();
-        let answer = finalize(plan, &compiled, rows, witness_facts, accesses);
+        let answer = finalize(plan, &compiled, rows, witness, accesses);
         if let Some(sink) = sink {
             sink.exec_phase(ExecPhase::Finalize, nanos_since(finalize_start));
         }
@@ -661,10 +745,10 @@ where
     let mut accesses = main.meter_snapshot().since(&before);
 
     // Contiguous chunks keep the sequential row order when concatenated.
-    // Workers record witness facts *per step* so the merge can interleave
-    // them step-major (all workers' step-2 facts, then step-3, …) — the
-    // order the sequential executor produces.
-    type WorkerResult = Result<(Vec<Binding>, Vec<Vec<(String, Tuple)>>, MeterSnapshot), CoreError>;
+    // Workers record witness facts in one log *per step* so the merge can
+    // interleave them step-major (all workers' step-2 facts, then step-3,
+    // …) — the order the sequential executor produces.
+    type WorkerResult = Result<(Vec<Binding>, Vec<WitnessLog>, MeterSnapshot), CoreError>;
     let chunk_size = rows.len().div_ceil(workers);
     let worker_results: Vec<WorkerResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = rows
@@ -678,13 +762,12 @@ where
                     let before = src.meter_snapshot();
                     let mut bound = bound_after_first;
                     let mut chunk_rows = chunk.to_vec();
-                    let mut witness_per_step: Vec<Vec<(String, Tuple)>> =
-                        Vec::with_capacity(rest.len());
+                    let mut witness_per_step: Vec<WitnessLog> = Vec::with_capacity(rest.len());
                     // One run_steps call per step: identical semantics to one
                     // call with the whole slice (rows and boundness thread
                     // through), but the witness stays step-separable.
                     for step in rest {
-                        let mut witness: Vec<(String, Tuple)> = Vec::new();
+                        let mut witness = WitnessLog::default();
                         chunk_rows = run_steps(
                             plan,
                             compiled,
@@ -711,7 +794,7 @@ where
     });
 
     let mut all_rows: Vec<Binding> = Vec::new();
-    let mut witness_by_step: Vec<Vec<Vec<(String, Tuple)>>> = Vec::new();
+    let mut witness_by_step: Vec<Vec<WitnessLog>> = Vec::new();
     for result in worker_results {
         let (rows_i, witness_i, accesses_i) = result?;
         all_rows.extend(rows_i);
@@ -721,8 +804,8 @@ where
     // Step-major, worker-minor: exactly the sequential append order.
     for step_index in 0..rest.len() {
         for worker_witness in &mut witness_by_step {
-            if step_index < worker_witness.len() {
-                witness_facts.append(&mut worker_witness[step_index]);
+            if let Some(log) = worker_witness.get_mut(step_index) {
+                witness.append(std::mem::take(log));
             }
         }
     }
@@ -730,7 +813,7 @@ where
         sink.exec_phase(ExecPhase::Fetch, nanos_since(fetch_start));
     }
     let finalize_start = std::time::Instant::now();
-    let answer = finalize(plan, &compiled, all_rows, witness_facts, accesses);
+    let answer = finalize(plan, &compiled, all_rows, witness, accesses);
     if let Some(sink) = sink {
         sink.exec_phase(ExecPhase::Finalize, nanos_since(finalize_start));
     }
@@ -816,8 +899,8 @@ mod tests {
         assert!(crate::si::check_witness(
             &crate::si::AnyQuery::Cq(bound),
             adb.database(),
-            &result.witness,
-            result.witness.size()
+            &result.witness(),
+            result.witness().size()
         )
         .unwrap());
     }
@@ -833,7 +916,7 @@ mod tests {
         // Person 4 has no outgoing friend edges.
         let result = execute_bounded(&plan, &[Value::int(4)], &adb).unwrap();
         assert!(result.answers.is_empty());
-        assert_eq!(result.witness.size(), 0);
+        assert_eq!(result.witness().size(), 0);
     }
 
     #[test]
@@ -1000,7 +1083,11 @@ mod tests {
             // Identical answers *in the same order*, identical witness,
             // identical access accounting.
             assert_eq!(parallel.answers, sequential.answers, "workers={workers}");
-            assert_eq!(parallel.witness, sequential.witness, "workers={workers}");
+            assert_eq!(
+                parallel.witness(),
+                sequential.witness(),
+                "workers={workers}"
+            );
             assert_eq!(parallel.accesses, sequential.accesses, "workers={workers}");
         }
     }
@@ -1061,7 +1148,11 @@ mod tests {
             let parallel =
                 execute_bounded_partitioned(&plan, &[Value::int(1)], make, workers).unwrap();
             assert_eq!(parallel.answers, sequential.answers, "workers={workers}");
-            assert_eq!(parallel.witness, sequential.witness, "workers={workers}");
+            assert_eq!(
+                parallel.witness(),
+                sequential.witness(),
+                "workers={workers}"
+            );
             assert_eq!(parallel.accesses, sequential.accesses, "workers={workers}");
         }
     }
@@ -1148,7 +1239,7 @@ mod tests {
         let canon = |answer: &BoundedAnswer| {
             let mut answers = answer.answers.clone();
             answers.sort();
-            let facts: BTreeSet<(String, Tuple)> = answer.witness.facts.iter().cloned().collect();
+            let facts: BTreeSet<(String, Tuple)> = answer.witness().facts.into_iter().collect();
             (answers, facts)
         };
         let expected = canon(&sequential);
@@ -1196,12 +1287,12 @@ mod tests {
         for _ in 0..3 {
             let one = fetch.finalize_one(&plan).unwrap();
             assert_eq!(one.answers, reference.answers);
-            assert_eq!(one.witness, reference.witness);
+            assert_eq!(one.witness(), reference.witness());
             assert_eq!(one.accesses, reference.accesses);
         }
         let last = fetch.into_answer(&plan).unwrap();
         assert_eq!(last.answers, reference.answers);
-        assert_eq!(last.witness, reference.witness);
+        assert_eq!(last.witness(), reference.witness());
         assert_eq!(last.accesses, reference.accesses);
     }
 
@@ -1237,7 +1328,7 @@ mod tests {
         let fetch = fetch_bounded(&plan, &[Value::int(4)], &adb).unwrap();
         let one = fetch.finalize_one(&plan).unwrap();
         assert!(one.answers.is_empty());
-        assert_eq!(one.witness.size(), 0);
+        assert_eq!(one.witness().size(), 0);
     }
 
     #[test]

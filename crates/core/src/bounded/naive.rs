@@ -9,14 +9,13 @@
 
 use crate::bounded::exec::BoundedAnswer;
 use crate::error::CoreError;
-use crate::si::Witness;
 use si_data::{AccessMeter, Database, Value};
 use si_query::{evaluate_cq, ConjunctiveQuery, Var};
 
 /// Evaluates `query` with `parameters` bound to `values` by full (unbounded)
 /// evaluation over `db`, reporting the same [`BoundedAnswer`] shape as the
-/// bounded executor.  The witness field is left empty: naive evaluation has
-/// no notion of a small witness — it reads whole relations.
+/// bounded executor.  The witness is left empty: naive evaluation has no
+/// notion of a small witness — it reads whole relations.
 pub fn execute_naive(
     query: &ConjunctiveQuery,
     parameters: &[Var],
@@ -38,11 +37,7 @@ pub fn execute_naive(
     let bound = query.bind(&bindings);
     let meter = AccessMeter::new();
     let answers = evaluate_cq(&bound, db, Some(&meter))?;
-    Ok(BoundedAnswer {
-        answers,
-        witness: Witness::empty(),
-        accesses: meter.snapshot(),
-    })
+    Ok(BoundedAnswer::without_witness(answers, meter.snapshot()))
 }
 
 #[cfg(test)]
@@ -80,7 +75,7 @@ mod tests {
             result.accesses.tuples_fetched,
             (d.relation("friend").unwrap().len() + d.relation("person").unwrap().len()) as u64
         );
-        assert_eq!(result.witness.size(), 0);
+        assert_eq!(result.witness().size(), 0);
     }
 
     #[test]

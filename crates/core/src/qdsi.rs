@@ -120,13 +120,11 @@ pub fn decide_qdsi_with_access(
     if let AnyQuery::Cq(q) = query {
         let planner = CostBasedPlanner::new(adb.database().schema(), adb.access_schema(), stats);
         if let Ok(plan) = planner.plan(q, &[]) {
-            let result = execute_bounded(&plan, &[], adb)?;
-            if result.witness.size() <= m
-                && check_witness(query, adb.database(), &result.witness, m)?
-            {
+            let witness = execute_bounded(&plan, &[], adb)?.witness();
+            if witness.size() <= m && check_witness(query, adb.database(), &witness, m)? {
                 return Ok(QdsiOutcome {
                     scale_independent: true,
-                    witness: Some(result.witness),
+                    witness: Some(witness),
                     method: DecisionMethod::BoundedPlanFastPath,
                     explored: 0,
                 });

@@ -16,12 +16,11 @@
 
 use crate::bounded::{execute_bounded, BoundedAnswer, BoundedPlanner};
 use crate::error::CoreError;
-use crate::si::Witness;
 use crate::views::constrained::unconstrained_variables;
 use crate::views::rewrite::{base_part_size, find_rewritings, split_rewriting};
 use crate::views::view::ViewSet;
 use si_access::{AccessIndexedDatabase, AccessSchema};
-use si_data::{Database, DatabaseSchema, Value};
+use si_data::{Database, DatabaseSchema, MeterSnapshot, Value};
 use si_query::{evaluate_cq, ConjunctiveQuery, Var};
 
 /// Outcome of a VQSI decision.
@@ -138,10 +137,9 @@ pub fn execute_with_views(
 
     // 1. Bounded evaluation of the base part, keeping *all* its variables as
     //    the output so the view part can be joined afterwards.
-    let (base_witness, base_accesses, restricted_base) = if base_atoms.is_empty() {
+    let (base, restricted_base) = if base_atoms.is_empty() {
         (
-            Witness::empty(),
-            adb.meter_snapshot().since(&adb.meter_snapshot()),
+            BoundedAnswer::without_witness(Vec::new(), MeterSnapshot::default()),
             Database::empty(schema.clone()),
         )
     } else {
@@ -180,8 +178,8 @@ pub fn execute_with_views(
         let result = execute_bounded(&plan, &given_values, adb)?;
         // The fetched base facts are D_Q: build a restricted base database
         // containing exactly them, for the final join.
-        let restricted = result.witness.to_database(adb.database())?;
-        (result.witness, result.accesses, restricted)
+        let restricted = result.witness().to_database(adb.database())?;
+        (result, restricted)
     };
 
     // 2. Combine: a database holding the restricted base relations plus the
@@ -206,11 +204,8 @@ pub fn execute_with_views(
     let bindings: Vec<(Var, Value)> = params.iter().cloned().zip(values.iter().cloned()).collect();
     let answers = evaluate_cq(&rewriting.bind(&bindings), &combined, None)?;
 
-    Ok(BoundedAnswer {
-        answers,
-        witness: base_witness,
-        accesses: base_accesses,
-    })
+    // The reported witness and cost are the base part's.
+    Ok(BoundedAnswer { answers, ..base })
 }
 
 #[cfg(test)]
@@ -360,7 +355,7 @@ mod tests {
         // Only the friend tuples of p were fetched from the base data.
         assert_eq!(result.accesses.tuples_fetched, 3);
         assert_eq!(result.accesses.full_scans, 0);
-        assert_eq!(result.witness.size(), 3);
+        assert_eq!(result.witness().size(), 3);
 
         // The answers agree with evaluating the original Q2 directly.
         let direct = evaluate_cq(

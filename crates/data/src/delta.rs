@@ -241,7 +241,7 @@ impl DeltaBase for ShardedSnapshotView {
     fn contains(&self, relation: &str, tuple: &Tuple) -> Result<bool> {
         // Shards partition the instance, so membership is decided entirely
         // on the tuple's home shard.
-        let home = self.route_tuple(relation, tuple);
+        let home = self.route_tuple(relation, tuple.values());
         Ok(self.shard(home).relation(relation)?.contains(tuple))
     }
 }

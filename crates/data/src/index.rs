@@ -36,6 +36,7 @@
 
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::RwLock;
 
@@ -151,7 +152,8 @@ impl HashIndex {
 ///
 /// Lazy construction happens behind a shared reference (probes take `&self`),
 /// so the built map sits behind an [`RwLock`]; steady-state probes only take
-/// the read lock.
+/// the read lock, and [`IndexPool::probe`] hands the matching bucket to a
+/// closure under it instead of copying it out.
 #[derive(Debug, Default)]
 pub struct IndexPool {
     declared: BTreeSet<Vec<usize>>,
@@ -192,12 +194,12 @@ impl IndexPool {
     /// True iff an index on exactly `positions` was declared or built.
     pub fn is_declared(&self, positions: &[usize]) -> bool {
         let key = normalise(positions);
-        self.declared.contains(&key) || self.read_built().contains_key(&key)
+        self.declared.contains(&*key) || self.read_built().contains_key(&*key)
     }
 
     /// True iff the index on exactly `positions` has been materialised.
     pub fn is_built(&self, positions: &[usize]) -> bool {
-        self.read_built().contains_key(&normalise(positions))
+        self.read_built().contains_key(&*normalise(positions))
     }
 
     /// The normalised key positions of every declared-or-built index — what
@@ -217,7 +219,7 @@ impl IndexPool {
 
     /// Builds the index on `positions` now (declaring it if necessary).
     pub fn build_now(&mut self, positions: Vec<usize>, tuples: &[Tuple]) {
-        let key = normalise(&positions);
+        let key = normalise(&positions).into_owned();
         self.declared.remove(&key);
         let built = self.built.get_mut().expect("index pool lock poisoned");
         built
@@ -225,31 +227,51 @@ impl IndexPool {
             .or_insert_with(|| HashIndex::build(key, tuples));
     }
 
-    /// Probes the index on exactly `positions` with `key`, building it first
-    /// if it is declared but not yet materialised.  `key` must be aligned
-    /// with the *normalised* (sorted, deduplicated) positions.  Returns the
-    /// matching tuple positions, or `None` when no index on `positions` is
-    /// declared.
+    /// Probes the index on exactly `positions` with `key` and runs `f` over
+    /// the matching tuple positions, borrowed from the bucket while the
+    /// pool's read guard is held.  A declared-but-unbuilt index is
+    /// materialised first, under the write lock, which is released before
+    /// the read guard is taken — so `f` never runs under the write lock.
+    /// `key` must be aligned with the *normalised* (sorted, deduplicated)
+    /// positions.  Returns `f`'s result, or `None` when no index on
+    /// `positions` is declared.
+    ///
+    /// `f` must not probe this pool again: a reader waiting on a queued
+    /// writer can deadlock.  Probing any *other* relation's pool is fine.
+    pub fn probe<R>(
+        &self,
+        positions: &[usize],
+        key: &[Value],
+        tuples: &[Tuple],
+        f: impl FnOnce(&[usize]) -> R,
+    ) -> Option<R> {
+        let norm = normalise(positions);
+        if let Some(index) = self.read_built().get(&*norm) {
+            return Some(f(index.lookup(key)));
+        }
+        if !self.declared.contains(&*norm) {
+            return None;
+        }
+        // First probe of a declared index: materialise it under the write
+        // lock, then answer from it under the read lock.
+        self.built
+            .write()
+            .expect("index pool lock poisoned")
+            .entry(norm.to_vec())
+            .or_insert_with(|| HashIndex::build(norm.to_vec(), tuples));
+        let built = self.read_built();
+        let index = built.get(&*norm).expect("built indexes are never dropped");
+        Some(f(index.lookup(key)))
+    }
+
+    /// [`IndexPool::probe`] collecting the matching tuple positions.
     pub fn lookup(
         &self,
         positions: &[usize],
         key: &[Value],
         tuples: &[Tuple],
     ) -> Option<Vec<usize>> {
-        let norm = normalise(positions);
-        if let Some(index) = self.read_built().get(&norm) {
-            return Some(index.lookup(key).to_vec());
-        }
-        if !self.declared.contains(&norm) {
-            return None;
-        }
-        // First probe of a declared index: materialise it under the write
-        // lock, then answer from it.
-        let mut built = self.built.write().expect("index pool lock poisoned");
-        let index = built
-            .entry(norm.clone())
-            .or_insert_with(|| HashIndex::build(norm, tuples));
-        Some(index.lookup(key).to_vec())
+        self.probe(positions, key, tuples, <[usize]>::to_vec)
     }
 
     /// The best declared-or-built index usable for a probe on `positions`:
@@ -299,7 +321,7 @@ impl IndexPool {
     /// The closure indirection keeps the [`RwLock`] read guard from escaping;
     /// use [`IndexPool::lookup`] for plain probes.
     pub fn with_built<R>(&self, positions: &[usize], f: impl FnOnce(&HashIndex) -> R) -> Option<R> {
-        self.read_built().get(&normalise(positions)).map(f)
+        self.read_built().get(&*normalise(positions)).map(f)
     }
 
     /// Number of declared-but-unbuilt plus built indexes.
@@ -313,11 +335,16 @@ impl IndexPool {
     }
 }
 
-fn normalise(positions: &[usize]) -> Vec<usize> {
+/// `positions` sorted and deduplicated — borrowed when they already are,
+/// which is every probe the relation layer issues.
+fn normalise(positions: &[usize]) -> Cow<'_, [usize]> {
+    if positions.windows(2).all(|w| w[0] < w[1]) {
+        return Cow::Borrowed(positions);
+    }
     let mut key = positions.to_vec();
     key.sort_unstable();
     key.dedup();
-    key
+    Cow::Owned(key)
 }
 
 #[cfg(test)]
@@ -421,6 +448,34 @@ mod tests {
         assert!(pool.is_built(&[0]));
         // Undeclared probes return None rather than scanning.
         assert!(pool.lookup(&[1], &[Value::int(3)], &tuples).is_none());
+    }
+
+    #[test]
+    fn probe_borrows_the_bucket_and_builds_before_reading() {
+        let tuples = friend_tuples();
+        let mut pool = IndexPool::new();
+        pool.declare(vec![0]);
+        let hits = pool.probe(&[0], &[Value::int(1)], &tuples, |hits| {
+            // Only the read guard is held here, so another reader gets in.
+            assert!(pool.built.try_read().is_ok());
+            hits.iter().map(|&p| tuples[p][1]).collect::<Vec<_>>()
+        });
+        assert_eq!(
+            hits,
+            Some(vec![Value::int(2), Value::int(3), Value::int(4)])
+        );
+        assert!(pool.is_built(&[0]));
+        assert_eq!(
+            pool.probe(&[1], &[Value::int(3)], &tuples, |h| h.len()),
+            None
+        );
+        // Unnormalised positions are normalised before the lookup.
+        pool.build_now(vec![0, 1], &tuples);
+        let key = [Value::int(1), Value::int(3)];
+        assert_eq!(
+            pool.probe(&[1, 0, 1], &key, &tuples, <[usize]>::to_vec),
+            Some(vec![1])
+        );
     }
 
     #[test]

@@ -4,12 +4,19 @@
 //! deterministic iteration plus a `HashSet<Tuple>` for membership — and every
 //! evaluator re-invented the same pair for answer deduplication.  [`TupleSet`]
 //! keeps one owned copy of each tuple (in insertion order) and maintains a
-//! side table from tuple *hash* to positions, so membership stays O(1)
-//! expected without duplicating tuple storage.  Hash collisions are resolved
-//! by comparing against the stored tuples.
+//! side table from tuple *hash* to position, so membership stays O(1)
+//! expected without duplicating tuple storage.
+//!
+//! The side table is compact: one `u64 → u32` entry per tuple, with no heap
+//! allocation of its own.  Distinct tuples whose 64-bit hashes collide are
+//! told apart by comparing against the stored tuples; only such a genuine
+//! collision puts a position into a second, normally empty, table.  Cloning a
+//! set (what a copy-on-write commit does to a touched relation) therefore
+//! copies two flat tables instead of allocating a bucket per tuple.
 
 use crate::tuple::Tuple;
-use std::collections::hash_map::DefaultHasher;
+use crate::value::Value;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -21,13 +28,18 @@ use std::hash::{Hash, Hasher};
 #[derive(Debug, Clone, Default)]
 pub struct TupleSet {
     tuples: Vec<Tuple>,
-    /// tuple hash → positions in `tuples` carrying that hash.
-    buckets: HashMap<u64, Vec<u32>>,
+    /// tuple hash → position of the earliest stored tuple with that hash.
+    first: HashMap<u64, u32>,
+    /// tuple hash → positions of later tuples with the same hash (in
+    /// insertion order); empty unless two distinct tuples collide.
+    collisions: HashMap<u64, Vec<u32>>,
 }
 
-fn hash_of(tuple: &Tuple) -> u64 {
+/// The hash a tuple is filed under: the hash of its value slice, which is
+/// exactly what hashing the [`Tuple`] itself produces.
+fn hash_of(values: &[Value]) -> u64 {
     let mut h = DefaultHasher::new();
-    tuple.hash(&mut h);
+    values.hash(&mut h);
     h.finish()
 }
 
@@ -41,7 +53,8 @@ impl TupleSet {
     pub fn with_capacity(capacity: usize) -> Self {
         TupleSet {
             tuples: Vec::with_capacity(capacity),
-            buckets: HashMap::with_capacity(capacity),
+            first: HashMap::with_capacity(capacity),
+            collisions: HashMap::new(),
         }
     }
 
@@ -70,31 +83,58 @@ impl TupleSet {
         self.tuples.get(position)
     }
 
+    /// The position of the tuple with exactly `values`, given their hash.
+    fn find(&self, hash: u64, values: &[Value]) -> Option<u32> {
+        let &first = self.first.get(&hash)?;
+        if self.tuples[first as usize].values() == values {
+            return Some(first);
+        }
+        self.collisions
+            .get(&hash)?
+            .iter()
+            .copied()
+            .find(|&p| self.tuples[p as usize].values() == values)
+    }
+
     /// Position of `tuple` in insertion order, if present.
     pub fn position_of(&self, tuple: &Tuple) -> Option<usize> {
-        let hash = hash_of(tuple);
-        self.buckets.get(&hash).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|&&p| &self.tuples[p as usize] == tuple)
-                .map(|&p| p as usize)
-        })
+        self.find(hash_of(tuple.values()), tuple.values())
+            .map(|p| p as usize)
     }
 
     /// Membership test.
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.position_of(tuple).is_some()
+        self.contains_values(tuple.values())
+    }
+
+    /// Membership test for the tuple with exactly `values`, without
+    /// building a [`Tuple`] (a tuple hashes exactly like its value slice).
+    pub fn contains_values(&self, values: &[Value]) -> bool {
+        self.find(hash_of(values), values).is_some()
     }
 
     /// Inserts `tuple`, ignoring duplicates; returns `true` when it was new.
     pub fn insert(&mut self, tuple: Tuple) -> bool {
-        let hash = hash_of(&tuple);
-        let bucket = self.buckets.entry(hash).or_default();
-        if bucket.iter().any(|&p| self.tuples[p as usize] == tuple) {
-            return false;
-        }
+        self.insert_hashed(hash_of(tuple.values()), tuple)
+    }
+
+    fn insert_hashed(&mut self, hash: u64, tuple: Tuple) -> bool {
         let position = u32::try_from(self.tuples.len()).expect("TupleSet exceeds u32 positions");
-        bucket.push(position);
+        match self.first.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(position);
+            }
+            Entry::Occupied(slot) => {
+                if self.tuples[*slot.get() as usize] == tuple {
+                    return false;
+                }
+                let later = self.collisions.entry(hash).or_default();
+                if later.iter().any(|&p| self.tuples[p as usize] == tuple) {
+                    return false;
+                }
+                later.push(position);
+            }
+        }
         self.tuples.push(tuple);
         true
     }
@@ -109,33 +149,53 @@ impl TupleSet {
     /// that callers maintaining side structures (e.g. secondary indexes) can
     /// shift their own entries without a second lookup.
     ///
-    /// Removal is O(n) because all later positions shift, but the side table
-    /// is adjusted in place — no key is re-hashed and no bucket is rebuilt.
+    /// Removal is O(n) because all later positions shift, but the side
+    /// tables are adjusted in place — no key is re-hashed.
     pub fn remove_returning_position(&mut self, tuple: &Tuple) -> Option<usize> {
-        let hash = hash_of(tuple);
-        let bucket = self.buckets.get_mut(&hash)?;
-        let position = *bucket
-            .iter()
-            .find(|&&p| &self.tuples[p as usize] == tuple)? as usize;
-        bucket.retain(|&p| p as usize != position);
-        if bucket.is_empty() {
-            self.buckets.remove(&hash);
-        }
-        self.tuples.remove(position);
-        for bucket in self.buckets.values_mut() {
-            for p in bucket.iter_mut() {
-                if *p as usize > position {
-                    *p -= 1;
+        self.remove_hashed(hash_of(tuple.values()), tuple.values())
+    }
+
+    fn remove_hashed(&mut self, hash: u64, values: &[Value]) -> Option<usize> {
+        let position = self.find(hash, values)?;
+        let first = self.first.get_mut(&hash).expect("found tuples are filed");
+        if *first == position {
+            // Promote the earliest colliding tuple, if any, to the first slot.
+            match self.collisions.get_mut(&hash) {
+                Some(later) => {
+                    *first = later.remove(0);
+                    if later.is_empty() {
+                        self.collisions.remove(&hash);
+                    }
+                }
+                None => {
+                    self.first.remove(&hash);
                 }
             }
+        } else {
+            let later = self
+                .collisions
+                .get_mut(&hash)
+                .expect("a tuple not in the first slot is a collision");
+            later.retain(|&p| p != position);
+            if later.is_empty() {
+                self.collisions.remove(&hash);
+            }
         }
-        Some(position)
+        self.tuples.remove(position as usize);
+        let later = self.collisions.values_mut().flat_map(|ps| ps.iter_mut());
+        for p in self.first.values_mut().chain(later) {
+            if *p > position {
+                *p -= 1;
+            }
+        }
+        Some(position as usize)
     }
 
     /// Drops all tuples.
     pub fn clear(&mut self) {
         self.tuples.clear();
-        self.buckets.clear();
+        self.first.clear();
+        self.collisions.clear();
     }
 
     /// Consumes the set, returning the tuples in insertion order.
@@ -260,6 +320,52 @@ mod tests {
         assert!(s.is_empty());
         assert!(!s.contains(&tuple![1]));
         assert!(s.insert(tuple![1]));
+    }
+
+    #[test]
+    fn contains_values_agrees_with_contains() {
+        let s: TupleSet = vec![tuple![1, "a"], tuple![2, "b"]].into_iter().collect();
+        assert!(s.contains_values(tuple![1, "a"].values()));
+        assert!(s.contains_values(&[Value::int(2), Value::str("b")]));
+        assert!(!s.contains_values(&[Value::int(2)]));
+        assert!(!s.contains_values(&[]));
+        // A tuple and its value slice are filed under the same hash.
+        let t = tuple![7, "x"];
+        let mut h = DefaultHasher::new();
+        t.hash(&mut h);
+        assert_eq!(h.finish(), hash_of(t.values()));
+    }
+
+    #[test]
+    fn colliding_hashes_are_told_apart_and_removed_in_order() {
+        // Force every tuple under one hash: the side table must keep them
+        // distinct, promote on removal and shift later positions.
+        const H: u64 = 42;
+        let mut s = TupleSet::new();
+        for i in 0..4 {
+            assert!(s.insert_hashed(H, tuple![i]));
+        }
+        assert!(
+            !s.insert_hashed(H, tuple![0]),
+            "duplicate of the first slot"
+        );
+        assert!(!s.insert_hashed(H, tuple![2]), "duplicate of a collision");
+        assert_eq!(s.len(), 4);
+        for i in 0..4 {
+            assert_eq!(s.find(H, tuple![i].values()), Some(i as u32));
+        }
+        // Remove the first slot: tuple 1 is promoted, everyone shifts down.
+        assert_eq!(s.remove_hashed(H, tuple![0].values()), Some(0));
+        assert_eq!(s.find(H, tuple![1].values()), Some(0));
+        assert_eq!(s.find(H, tuple![3].values()), Some(2));
+        // Remove a collision entry in the middle.
+        assert_eq!(s.remove_hashed(H, tuple![2].values()), Some(1));
+        assert_eq!(s.find(H, tuple![3].values()), Some(1));
+        assert_eq!(s.find(H, tuple![2].values()), None);
+        assert_eq!(s.as_slice(), &[tuple![1], tuple![3]]);
+        assert_eq!(s.remove_hashed(H, tuple![1].values()), Some(0));
+        assert_eq!(s.remove_hashed(H, tuple![3].values()), Some(0));
+        assert!(s.is_empty() && s.first.is_empty() && s.collisions.is_empty());
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::schema::RelationSchema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
@@ -82,6 +83,12 @@ impl Relation {
     /// Membership test.
     pub fn contains(&self, tuple: &Tuple) -> bool {
         self.tuples.contains(tuple)
+    }
+
+    /// Membership test for the tuple with exactly `values`, without building
+    /// a [`Tuple`].
+    pub fn contains_values(&self, values: &[Value]) -> bool {
+        self.tuples.contains_values(values)
     }
 
     /// Inserts a tuple, ignoring exact duplicates (set semantics).
@@ -175,7 +182,18 @@ impl Relation {
     }
 
     /// Selects the tuples whose attributes `attributes` equal `key`
-    /// (σ_{X=a̅}(R)), and reports whether an index served the probe.
+    /// (σ_{X=a̅}(R)), and reports whether an index served the probe: the
+    /// name-resolving, collecting wrapper over [`Relation::for_each_eq`].
+    pub fn select_eq(&self, attributes: &[String], key: &[Value]) -> Result<(Vec<Tuple>, bool)> {
+        let positions = self.schema.positions_of(attributes)?;
+        let mut matches = Vec::new();
+        let used_index = self.for_each_eq(&positions, key, |t| matches.push(t.clone()));
+        Ok((matches, used_index))
+    }
+
+    /// Calls `f` on every tuple whose values at `positions` equal `key`
+    /// (σ_{X=a̅}(R) over resolved positions), borrowing each tuple from
+    /// storage, and reports whether an index served the probe.
     ///
     /// Resolution order:
     /// 1. an index on exactly the probed positions (built lazily on this
@@ -185,32 +203,39 @@ impl Relation {
     ///    the probe stays index-backed even when the caller binds more
     ///    attributes than any single index covers;
     /// 3. a full scan, only when no index can serve any part of the probe.
-    pub fn select_eq(&self, attributes: &[String], key: &[Value]) -> Result<(Vec<Tuple>, bool)> {
-        let positions = self
-            .schema
-            .positions_of(&attributes.iter().map(|a| a.to_owned()).collect::<Vec<_>>())?;
-        // An index stores its key positions sorted and deduplicated, so align
-        // the probe key with that normalisation.
-        let mut pairs: Vec<(usize, Value)> =
-            positions.iter().cloned().zip(key.iter().cloned()).collect();
-        pairs.sort_by_key(|(p, _)| *p);
-        pairs.dedup_by(|a, b| a.0 == b.0);
-        let sorted_positions: Vec<usize> = pairs.iter().map(|(p, _)| *p).collect();
-        let sorted_key: Vec<Value> = pairs.iter().map(|(_, v)| *v).collect();
-
-        if let Some(hits) =
-            self.indexes
-                .lookup(&sorted_positions, &sorted_key, self.tuples.as_slice())
+    ///
+    /// A `key` that is not aligned with `positions` (different lengths)
+    /// matches nothing.  `f` runs while the index pool's read guard is held,
+    /// so it must not probe this relation again (see [`IndexPool::probe`]);
+    /// probing other relations is fine.
+    pub fn for_each_eq(
+        &self,
+        positions: &[usize],
+        key: &[Value],
+        mut f: impl FnMut(&Tuple),
+    ) -> bool {
+        if positions.len() != key.len() {
+            return false;
+        }
+        let tuples = self.tuples.as_slice();
+        // A probe key that repeats a position with conflicting values can
+        // over-approximate after normalisation; re-check the original
+        // predicate to stay exact.
+        let mut emit = |hits: &[usize]| {
+            for &p in hits {
+                let t = &tuples[p];
+                if t.matches_on(positions, key) {
+                    f(t);
+                }
+            }
+        };
+        let (sorted_positions, sorted_key) = normalise_probe(positions, key);
+        if self
+            .indexes
+            .probe(&sorted_positions, &sorted_key, tuples, &mut emit)
+            .is_some()
         {
-            let matches = hits
-                .into_iter()
-                .map(|pos| self.tuples.as_slice()[pos].clone())
-                // A probe key that repeats a position with conflicting values
-                // can over-approximate after dedup; re-check the original
-                // predicate to stay exact.
-                .filter(|t| t.matches_on(&positions, key))
-                .collect();
-            return Ok((matches, true));
+            return true;
         }
 
         // No exact index: probe the widest subset index and post-filter.
@@ -218,32 +243,24 @@ impl Relation {
             let sub_key: Vec<Value> = sub
                 .iter()
                 .map(|p| {
-                    pairs
+                    let i = sorted_positions
                         .iter()
-                        .find(|(q, _)| q == p)
-                        .map(|(_, v)| *v)
-                        .expect("subset positions come from the probe")
+                        .position(|q| q == p)
+                        .expect("subset positions come from the probe");
+                    sorted_key[i]
                 })
                 .collect();
-            let hits = self
-                .indexes
-                .lookup(&sub, &sub_key, self.tuples.as_slice())
+            self.indexes
+                .probe(&sub, &sub_key, tuples, &mut emit)
                 .expect("best_subset returned a declared index");
-            let matches = hits
-                .into_iter()
-                .map(|pos| self.tuples.as_slice()[pos].clone())
-                .filter(|t| t.matches_on(&positions, key))
-                .collect();
-            return Ok((matches, true));
+            return true;
         }
 
-        let matches = self
-            .tuples
+        tuples
             .iter()
-            .filter(|t| t.matches_on(&positions, key))
-            .cloned()
-            .collect();
-        Ok((matches, false))
+            .filter(|t| t.matches_on(positions, key))
+            .for_each(f);
+        false
     }
 
     /// The maximum number of tuples sharing any single value combination on
@@ -283,6 +300,27 @@ impl Relation {
             }
         }
     }
+}
+
+/// Aligns a probe with the normalisation indexes use for their key positions
+/// (sorted, deduplicated, keeping the first value of a repeated position).
+/// Borrows when the positions are already strictly increasing — every
+/// single-attribute probe.
+fn normalise_probe<'a>(
+    positions: &'a [usize],
+    key: &'a [Value],
+) -> (Cow<'a, [usize]>, Cow<'a, [Value]>) {
+    if positions.windows(2).all(|w| w[0] < w[1]) {
+        return (Cow::Borrowed(positions), Cow::Borrowed(key));
+    }
+    let mut pairs: Vec<(usize, Value)> =
+        positions.iter().copied().zip(key.iter().copied()).collect();
+    pairs.sort_by_key(|(p, _)| *p);
+    pairs.dedup_by(|a, b| a.0 == b.0);
+    (
+        pairs.iter().map(|(p, _)| *p).collect(),
+        pairs.iter().map(|(_, v)| *v).collect(),
+    )
 }
 
 impl fmt::Display for Relation {
@@ -420,6 +458,36 @@ mod tests {
             .unwrap();
         assert!(used);
         assert_eq!(rows, vec![tuple![3, "cat", "NYC"]]);
+    }
+
+    #[test]
+    fn for_each_eq_borrows_matches_and_agrees_with_select_eq() {
+        let mut r = person();
+        r.insert(tuple![4, "dan", "NYC"]).unwrap();
+        let city = Value::str("NYC");
+        // Scan, then exact index, then subset index + post-filter.
+        for declare in [None, Some(vec!["city".to_string()])] {
+            if let Some(attrs) = declare {
+                r.declare_index(&attrs).unwrap();
+            }
+            let mut seen = Vec::new();
+            let used = r.for_each_eq(&[2], &[city], |t| seen.push(t[0]));
+            assert_eq!(used, r.has_index(&["city".into()]));
+            assert_eq!(seen, vec![Value::int(1), Value::int(3), Value::int(4)]);
+            let (rows, _) = r.select_eq(&["city".into()], &[city]).unwrap();
+            assert_eq!(rows.len(), 3);
+            let mut wide = Vec::new();
+            r.for_each_eq(&[2, 0], &[city, Value::int(3)], |t| wide.push(t.clone()));
+            assert_eq!(wide, vec![tuple![3, "cat", "NYC"]]);
+        }
+        // A repeated position with conflicting values matches nothing, and a
+        // key that does not align with the positions matches nothing.
+        let mut none = 0;
+        r.for_each_eq(&[2, 2], &[city, Value::str("LA")], |_| none += 1);
+        r.for_each_eq(&[2, 0], &[city], |_| none += 1);
+        assert_eq!(none, 0);
+        assert!(r.contains_values(&[Value::int(4), Value::str("dan"), city]));
+        assert!(!r.contains_values(&[Value::int(4)]));
     }
 
     #[test]

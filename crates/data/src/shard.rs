@@ -99,10 +99,10 @@ pub fn shard_of_value(value: Value, shards: usize) -> usize {
 
 /// The shard a whole tuple routes to when its relation has no declared
 /// partition column (fold of the per-value hashes).
-pub fn shard_of_tuple(tuple: &Tuple, shards: usize) -> usize {
+pub fn shard_of_tuple(values: &[Value], shards: usize) -> usize {
     debug_assert!(shards > 0);
     let mut h = 0x9e37_79b9_7f4a_7c15u64;
-    for v in tuple.iter() {
+    for v in values {
         h = h.rotate_left(5) ^ value_hash(*v);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -197,18 +197,13 @@ impl PartitionRouter {
 
     /// The shard `tuple` of `relation` routes to (total).
     pub fn route(&self, relation: &str, tuple: &Tuple) -> usize {
-        self.state.route(relation, tuple)
+        self.state.route(relation, tuple.values())
     }
 
-    /// The partition column of `relation`, if one was declared — the same
-    /// answer a pinned [`ShardedSnapshotView`] over this map would give, so
-    /// routing decisions made against a router (e.g. by a replicated access
-    /// source) cannot drift from the store's.
-    pub fn attribute(&self, relation: &str) -> Option<&str> {
-        self.state.map.attribute(relation)
-    }
-
-    /// The partition column's position in `relation`, if one was declared.
+    /// The partition column's position in `relation`, if one was declared —
+    /// the same answer a pinned [`ShardedSnapshotView`] over this map would
+    /// give, so routing decisions made against a router (e.g. by a
+    /// replicated access source) cannot drift from the store's.
     pub fn position(&self, relation: &str) -> Option<usize> {
         self.state.positions.get(relation).copied()
     }
@@ -237,20 +232,20 @@ struct PartitionState {
 }
 
 impl PartitionState {
-    fn route(&self, relation: &str, tuple: &Tuple) -> usize {
+    fn route(&self, relation: &str, values: &[Value]) -> usize {
         // One shard holds everything: skip the hash, which resolves every
         // symbol to its string.
         if self.shards == 1 {
             return 0;
         }
         match self.positions.get(relation) {
-            Some(pos) => match tuple.get(*pos) {
+            Some(pos) => match values.get(*pos) {
                 Some(v) => shard_of_value(*v, self.shards),
                 // Arity mismatches are caught by validation; spreading keeps
                 // routing total in the meantime.
-                None => shard_of_tuple(tuple, self.shards),
+                None => shard_of_tuple(values, self.shards),
             },
-            None => shard_of_tuple(tuple, self.shards),
+            None => shard_of_tuple(values, self.shards),
         }
     }
 
@@ -267,10 +262,10 @@ impl PartitionState {
         let mut parts = vec![Delta::new(); self.shards];
         for (relation, rd) in delta.iter() {
             for t in &rd.insertions {
-                parts[self.route(relation, t)].insert(relation.clone(), t.clone());
+                parts[self.route(relation, t.values())].insert(relation.clone(), t.clone());
             }
             for t in &rd.deletions {
-                parts[self.route(relation, t)].delete(relation.clone(), t.clone());
+                parts[self.route(relation, t.values())].delete(relation.clone(), t.clone());
             }
         }
         parts
@@ -320,11 +315,6 @@ impl ShardedSnapshotView {
         &self.partition.map
     }
 
-    /// The partition column of `relation`, if one was declared.
-    pub fn partition_attribute(&self, relation: &str) -> Option<&str> {
-        self.partition.map.attribute(relation)
-    }
-
     /// The partition column's position in `relation`, if one was declared.
     pub fn partition_position(&self, relation: &str) -> Option<usize> {
         self.partition.positions.get(relation).copied()
@@ -336,10 +326,12 @@ impl ShardedSnapshotView {
         self.partition.route_value(relation, value)
     }
 
-    /// The shard `tuple` of `relation` lives on (total: falls back to the
-    /// whole-tuple hash for relations without a partition column).
-    pub fn route_tuple(&self, relation: &str, tuple: &Tuple) -> usize {
-        self.partition.route(relation, tuple)
+    /// The shard the tuple of `relation` with exactly `values` lives on
+    /// (total: falls back to the whole-tuple hash for relations without a
+    /// partition column).  Takes the value slice so a membership probe can
+    /// route without building a [`Tuple`].
+    pub fn route_tuple(&self, relation: &str, values: &[Value]) -> usize {
+        self.partition.route(relation, values)
     }
 
     /// Splits a delta into per-shard deltas by routing every tuple.
@@ -486,7 +478,7 @@ impl ShardedSnapshotStore {
                 }
             }
             for t in rel.iter() {
-                let shard = state.route(rel.name(), t);
+                let shard = state.route(rel.name(), t.values());
                 parts[shard].insert(rel.name(), t.clone())?;
             }
         }
@@ -525,7 +517,7 @@ impl ShardedSnapshotStore {
         for (i, part) in parts.iter().enumerate() {
             for rel in part.relations() {
                 for t in rel.iter() {
-                    let home = state.route(rel.name(), t);
+                    let home = state.route(rel.name(), t.values());
                     if home != i {
                         return Err(DataError::Invariant(format!(
                             "restore: {} tuple {t} stored on shard {i} but routes to {home}",
@@ -685,16 +677,16 @@ mod tests {
         let view = store.pin();
         for i in 0..40i64 {
             let t = tuple![i, (i + 1) % 40];
-            let a = view.route_tuple("friend", &t);
-            let b = view.route_tuple("friend", &t);
+            let a = view.route_tuple("friend", t.values());
+            let b = view.route_tuple("friend", t.values());
             assert_eq!(a, b);
             assert_eq!(Some(a), view.route_value("friend", Value::int(i)));
             assert!(a < 3);
         }
         // Partition metadata is exposed.
-        assert_eq!(view.partition_attribute("friend"), Some("id1"));
+        assert_eq!(view.partition_map().attribute("friend"), Some("id1"));
         assert_eq!(view.partition_position("friend"), Some(0));
-        assert_eq!(view.partition_attribute("nosuch"), None);
+        assert_eq!(view.partition_position("nosuch"), None);
         assert_eq!(view.route_value("nosuch", Value::int(1)), None);
         assert_eq!(store.partition_map().attribute("visit"), Some("id"));
     }
@@ -710,7 +702,7 @@ mod tests {
         // Every tuple is on exactly its routed shard.
         for rel in db.relations() {
             for t in rel.iter() {
-                let home = view.route_tuple(rel.name(), t);
+                let home = view.route_tuple(rel.name(), t.values());
                 for (i, shard) in view.shards().iter().enumerate() {
                     let present = shard.relation(rel.name()).unwrap().contains(t);
                     assert_eq!(present, i == home, "{} {t} on shard {i}", rel.name());
@@ -877,7 +869,10 @@ mod tests {
         assert_eq!(router.split(&delta), view.split(&delta));
         for rel in base().relations() {
             for t in rel.iter() {
-                assert_eq!(router.route(rel.name(), t), view.route_tuple(rel.name(), t));
+                assert_eq!(
+                    router.route(rel.name(), t),
+                    view.route_tuple(rel.name(), t.values())
+                );
             }
         }
         assert!(social_partition().router(view.schema(), 0).is_err());
@@ -901,8 +896,8 @@ mod tests {
         for rel in orig.relations() {
             for t in rel.iter() {
                 assert_eq!(
-                    restored.pin().route_tuple(rel.name(), t),
-                    view.route_tuple(rel.name(), t)
+                    restored.pin().route_tuple(rel.name(), t.values()),
+                    view.route_tuple(rel.name(), t.values())
                 );
             }
         }

@@ -52,8 +52,8 @@ fn example_11a_q1_end_to_end() {
         assert!(check_witness(
             &bound_q,
             adb.database(),
-            &bounded.witness,
-            bounded.witness.size()
+            &bounded.witness(),
+            bounded.witness().size()
         )
         .unwrap());
     }

@@ -163,8 +163,8 @@ fn bounded_q1_agrees_with_naive_and_yields_a_witness() {
         assert!(check_witness(
             &bound_q,
             adb.database(),
-            &bounded.witness,
-            bounded.witness.size()
+            &bounded.witness(),
+            bounded.witness().size()
         )
         .unwrap());
     }

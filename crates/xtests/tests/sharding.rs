@@ -148,7 +148,7 @@ fn gen_delta(rng: &mut SplitMix64, oracle: &Database, fresh: &mut usize) -> Delt
 }
 
 fn witness_set(answer: &si_core::bounded::BoundedAnswer) -> BTreeSet<(String, Tuple)> {
-    answer.witness.facts.iter().cloned().collect()
+    answer.witness().facts.into_iter().collect()
 }
 
 fn sorted(mut answers: Vec<Tuple>) -> Vec<Tuple> {
