@@ -48,7 +48,7 @@ pub use indexed::{AccessError, AccessIndexedDatabase};
 pub use remote::{ReplicatedAccess, ShardProber};
 pub use schema::{facebook_access_schema, AccessSchema};
 pub use sharded::ShardedAccess;
-pub use source::{raw_index_probe, AccessSource, SnapshotAccess};
+pub use source::{best_embedded, raw_index_probe, AccessSource, ResolvedProbe, SnapshotAccess};
 
 /// Convenience result alias for fallible operations in this crate.
 pub type Result<T> = std::result::Result<T, AccessError>;

@@ -21,12 +21,12 @@
 //!   [`AccessSource::for_each_via`] iterates.  No residual filtering, no
 //!   projection, no metering happens remotely.
 //! * The **primary** (this type) does everything else exactly as
-//!   `ShardedAccess` does: the `split_probe` decomposition, routing on
+//!   `ShardedAccess` does: the `ResolvedProbe` split, routing on
 //!   literal partition-column equalities in the pushed-down part, the
 //!   probe/time/tuple charges at the same points, residual filtering and
 //!   embedded projection-dedup on the gathered rows.
 //!
-//! Since both surfaces share `split_probe`, `raw_index_probe`, the routing
+//! Since both surfaces share the probe split, `raw_index_probe`, the routing
 //! state and the charge points, the fetched sets and
 //! [`si_data::MeterSnapshot`]s cannot drift — the replication-equivalence
 //! harness pins this with the sharded harness's own workload.
@@ -34,16 +34,13 @@
 //! Routing decisions are made against the router, never against data, so
 //! they are exactly the decisions `ShardedAccess` makes
 //! ([`PartitionRouter::position`] answers the same question
-//! `ShardedSnapshotView::partition_position` does).  Fan-out gathers in
+//! `ShardedSnapshotView::partition_position_at` does).  Fan-out gathers in
 //! shard order (shard 0 first) like the in-process surface.
 
-use crate::constraint::AccessConstraint;
 use crate::indexed::AccessError;
 use crate::schema::AccessSchema;
-use crate::source::{best_embedded, split_probe, AccessSource, ProbeSplit};
-use si_data::{
-    AccessMeter, DatabaseSchema, MeterSink, PartitionRouter, Relation, RelationSchema, Tuple, Value,
-};
+use crate::source::{unknown_relation, AccessSource, ProbeSplit, ResolvedProbe};
+use si_data::{AccessMeter, DatabaseSchema, MeterSink, PartitionRouter, Relation, Tuple, Value};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -182,12 +179,16 @@ impl<P: ShardProber, M: MeterSink> ReplicatedAccess<P, M> {
     /// replica in shard order, concatenating the raw fetched tuples.
     fn gather_split(
         &self,
-        rel_schema: &RelationSchema,
+        probe: &ResolvedProbe,
         target: Option<usize>,
         split: &ProbeSplit,
     ) -> Result<Vec<Tuple>, AccessError> {
-        let relation = rel_schema.name();
-        // The wire speaks attribute names; the split resolved positions.
+        let relation = probe.relation_name.as_str();
+        let rel_schema = self
+            .schema
+            .relation_at(probe.relation)
+            .ok_or_else(|| unknown_relation(relation))?;
+        // The wire speaks attribute names; the probe resolved positions.
         let attrs: Vec<String> = split
             .index_positions()
             .iter()
@@ -232,62 +233,60 @@ impl<P: ShardProber, M: MeterSink> AccessSource for ReplicatedAccess<P, M> {
 
     fn for_each_via(
         &self,
-        constraint: &AccessConstraint,
-        relation: &str,
-        attrs: &[String],
+        probe: &ResolvedProbe,
         key: &[Value],
         f: &mut dyn FnMut(&Tuple),
     ) -> Result<(), AccessError> {
-        debug_assert_eq!(constraint.relation, relation);
-        let rel_schema = self.schema.relation(relation)?;
         // The same split and charging the unsharded and sharded surfaces
         // run; the replica executes only its pushed-down part, and the
         // owned wire rows are iterated here.
-        let split = split_probe(&constraint.on, rel_schema, attrs, key)?;
+        let split = ProbeSplit::new(probe, key)?;
+        let relation = probe.relation_name.as_str();
         let target = self
             .route_for(relation, &split)
             .or_else(|| self.route_for_residual(relation, &split));
-        split.metered_fetch(&self.meter, constraint.time, f, |raw| {
-            self.gather_split(rel_schema, target, &split)?
+        split.metered_fetch(&self.meter, f, |raw| {
+            self.gather_split(probe, target, &split)?
                 .iter()
                 .for_each(raw);
             Ok(())
         })
     }
 
-    fn fetch_embedded(
+    fn fetch_embedded_via(
         &self,
-        relation: &str,
-        attrs: &[String],
+        probe: &ResolvedProbe,
         key: &[Value],
-        onto: &[String],
+        onto: &[usize],
     ) -> Result<Vec<Tuple>, AccessError> {
-        let constraint = best_embedded(&self.access, relation, attrs, onto)?;
-        let rel_schema = self.schema.relation(relation)?;
-        let positions = rel_schema.positions_of(onto)?;
-        let split = split_probe(&constraint.from, rel_schema, attrs, key)?;
+        let split = ProbeSplit::new(probe, key)?;
 
         // Route only on the pushed-down part — an embedded output binding
         // of the partition column enumerates many partition values, so it
         // must fan out (same rule, and same regression, as ShardedAccess).
-        let target = self.route_for(relation, &split);
+        let target = self.route_for(&probe.relation_name, &split);
 
-        split.metered_embedded(&self.meter, constraint.time, &positions, |raw| {
-            self.gather_split(rel_schema, target, &split)?
+        split.metered_embedded(&self.meter, onto, |raw| {
+            self.gather_split(probe, target, &split)?
                 .iter()
                 .for_each(raw);
             Ok(())
         })
     }
 
-    fn contains(&self, relation: &str, values: &[Value]) -> Result<bool, AccessError> {
+    fn contains_at(
+        &self,
+        _relation: usize,
+        name: &str,
+        values: &[Value],
+    ) -> Result<bool, AccessError> {
         // A membership probe carries the whole tuple: routing is total.  The
         // wire carries an owned tuple.
         let tuple = Tuple::new(values.to_vec());
-        let shard = self.router.route(relation, &tuple);
+        let shard = self.router.route(name, &tuple);
         self.meter.add_probe();
         self.meter.add_time(1);
-        let found = self.prober.contains(shard, relation, &tuple)?;
+        let found = self.prober.contains(shard, name, &tuple)?;
         if found {
             self.meter.add_tuples(1);
         }
@@ -313,7 +312,7 @@ mod tests {
     use super::*;
     use crate::schema::facebook_access_schema;
     use crate::source::raw_index_probe;
-    use crate::ShardedAccess;
+    use crate::{AccessConstraint, ShardedAccess};
     use si_data::schema::social_schema;
     use si_data::{tuple, Database, PartitionMap, ShardedSnapshotStore, ShardedSnapshotView};
 

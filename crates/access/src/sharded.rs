@@ -48,10 +48,9 @@
 //! payoff of partitioning (the `sharding` bench measures it); keep it off
 //! when exact unsharded-mirror accounting is required.
 
-use crate::constraint::AccessConstraint;
 use crate::indexed::AccessError;
 use crate::schema::AccessSchema;
-use crate::source::{best_embedded, split_probe, AccessSource, ProbeSplit};
+use crate::source::{unknown_relation, AccessSource, ProbeSplit, ResolvedProbe};
 use si_data::{
     AccessMeter, DatabaseSchema, MeterSink, Relation, ShardedSnapshotView, Tuple, Value,
 };
@@ -146,23 +145,24 @@ impl<M: MeterSink> ShardedAccess<M> {
         self.fanned.get()
     }
 
-    /// The shard pinned by a literal equality on `relation`'s partition
-    /// column within the split's pushed-down part; `None` forces fan-out.
-    fn route_for(&self, relation: &str, split: &ProbeSplit) -> Option<usize> {
-        let position = self.view.partition_position(relation)?;
+    /// The shard pinned by a literal equality on the partition column of
+    /// relation `relation` (an id) within the split's pushed-down part;
+    /// `None` forces fan-out.
+    fn route_for(&self, relation: usize, split: &ProbeSplit) -> Option<usize> {
+        let position = self.view.partition_position_at(relation)?;
         let value = split.index_value(position)?;
-        self.view.route_value(relation, value)
+        Some(self.view.route_partition_value(value))
     }
 
     /// Pruned-mode fallback: a literal partition-column equality in the
     /// residual filter also pins the shard.
-    fn route_for_residual(&self, relation: &str, split: &ProbeSplit) -> Option<usize> {
+    fn route_for_residual(&self, relation: usize, split: &ProbeSplit) -> Option<usize> {
         if !self.prune_residual_routes {
             return None;
         }
-        let position = self.view.partition_position(relation)?;
+        let position = self.view.partition_position_at(relation)?;
         let value = split.filter_value(position)?;
-        self.view.route_value(relation, value)
+        Some(self.view.route_partition_value(value))
     }
 
     /// Runs the shared [`ProbeSplit`] index probe over the routed shard, or
@@ -170,7 +170,7 @@ impl<M: MeterSink> ShardedAccess<M> {
     /// raw (pre-residual) match to `f` borrowed from its shard.
     fn probe_shards(
         &self,
-        relation: &str,
+        probe: &ResolvedProbe,
         target: Option<usize>,
         split: &ProbeSplit,
         f: &mut dyn FnMut(&Tuple),
@@ -186,7 +186,10 @@ impl<M: MeterSink> ShardedAccess<M> {
             }
         };
         for shard in shards {
-            split.for_each(shard.relation(relation)?, f);
+            let rel = shard
+                .relation_at(probe.relation)
+                .ok_or_else(|| unknown_relation(&probe.relation_name))?;
+            split.for_each(rel, f);
         }
         Ok(())
     }
@@ -213,60 +216,61 @@ impl<M: MeterSink> AccessSource for ShardedAccess<M> {
 
     fn for_each_via(
         &self,
-        constraint: &AccessConstraint,
-        relation: &str,
-        attrs: &[String],
+        probe: &ResolvedProbe,
         key: &[Value],
         f: &mut dyn FnMut(&Tuple),
     ) -> Result<(), AccessError> {
-        debug_assert_eq!(constraint.relation, relation);
-        let rel_schema = self.view.schema().relation(relation)?;
         // The exact split and charging the unsharded surface runs (shared
         // code, so the mirror-accounting guarantee cannot drift): the
         // constraint's X forms the index key, the rest is a residual filter,
         // and the pre-residual count is charged once for the logical fetch.
-        let split = split_probe(&constraint.on, rel_schema, attrs, key)?;
+        let split = ProbeSplit::new(probe, key)?;
         let target = self
-            .route_for(relation, &split)
-            .or_else(|| self.route_for_residual(relation, &split));
-        split.metered_fetch(&self.meter, constraint.time, f, |raw| {
-            self.probe_shards(relation, target, &split, raw)
+            .route_for(probe.relation, &split)
+            .or_else(|| self.route_for_residual(probe.relation, &split));
+        split.metered_fetch(&self.meter, f, |raw| {
+            self.probe_shards(probe, target, &split, raw)
         })
     }
 
-    fn fetch_embedded(
+    fn fetch_embedded_via(
         &self,
-        relation: &str,
-        attrs: &[String],
+        probe: &ResolvedProbe,
         key: &[Value],
-        onto: &[String],
+        onto: &[usize],
     ) -> Result<Vec<Tuple>, AccessError> {
-        // Constraint selection, probe split and the projection/dedup tail
-        // are the unsharded surface's own helpers, so the charged count is
-        // the unsharded one by construction.
-        let constraint = best_embedded(&self.access, relation, attrs, onto)?;
-        let rel_schema = self.view.schema().relation(relation)?;
-        let positions = rel_schema.positions_of(onto)?;
-        let split = split_probe(&constraint.from, rel_schema, attrs, key)?;
+        // Probe split and the projection/dedup tail are the unsharded
+        // surface's own helpers, so the charged count is the unsharded one
+        // by construction.
+        let split = ProbeSplit::new(probe, key)?;
 
         // Route only on the pushed-down `X[ ]` part.  The partition column
         // appearing in `onto` binds it through the constraint's *output* —
         // its values vary per matching tuple, so single-shard routing would
         // be wrong; fan out (this is the regression the tests pin).
-        let target = self.route_for(relation, &split);
+        let target = self.route_for(probe.relation, &split);
 
         // Cross-shard fetch in shard-merged order, then one dedup over the
         // merged sequence: the deduplicated *set* equals the unsharded one.
-        split.metered_embedded(&self.meter, constraint.time, &positions, |raw| {
-            self.probe_shards(relation, target, &split, raw)
+        split.metered_embedded(&self.meter, onto, |raw| {
+            self.probe_shards(probe, target, &split, raw)
         })
     }
 
-    fn contains(&self, relation: &str, values: &[Value]) -> Result<bool, AccessError> {
+    fn contains_at(
+        &self,
+        relation: usize,
+        name: &str,
+        values: &[Value],
+    ) -> Result<bool, AccessError> {
         // A membership probe carries the whole tuple, so its home shard is
         // always known — routing is total here.
-        let shard = self.view.route_tuple(relation, values);
-        let rel = self.view.shard(shard).relation(relation)?;
+        let shard = self.view.route_tuple_at(relation, values);
+        let rel = self
+            .view
+            .shard(shard)
+            .relation_at(relation)
+            .ok_or_else(|| unknown_relation(name))?;
         self.meter.add_probe();
         self.meter.add_time(1);
         let found = rel.contains_values(values);
@@ -294,7 +298,7 @@ impl<M: MeterSink> AccessSource for ShardedAccess<M> {
 mod tests {
     use super::*;
     use crate::schema::facebook_access_schema;
-    use crate::{AccessIndexedDatabase, EmbeddedConstraint, SnapshotAccess};
+    use crate::{AccessConstraint, AccessIndexedDatabase, EmbeddedConstraint, SnapshotAccess};
     use si_data::schema::social_schema;
     use si_data::{tuple, Database, Delta, PartitionMap, ShardedSnapshotStore, SnapshotStore};
 

@@ -20,22 +20,31 @@
 //! lives in this trait's provided methods, so an implementor only supplies
 //! the four accessors.
 //!
-//! ## The borrowing primitive
+//! ## The positional primitive
 //!
-//! [`AccessSource::for_each_via`] is the one fetch: it hands every tuple
-//! that survives the residual filter to a callback as a `&Tuple` borrowed
-//! from storage — no tuple is cloned and no result vector is built, which
-//! is what keeps a bounded read's allocations independent of the tuples it
-//! fetches.  [`AccessSource::fetch_via`] and [`AccessSource::fetch`] are
-//! provided collects over it, for callers that want owned rows.
+//! Every fetch is resolved against the database schema *once*, into a
+//! [`ResolvedProbe`]: the relation's id and name, the positions pushed into
+//! the index probe, the positions left to the residual filter, and the time
+//! charged.  A planner resolves its probes at plan time; the per-request
+//! primitives then take the resolved probe plus a key and do no name or
+//! string work:
 //!
-//! The callback runs while the probed relation's index guard is held (see
-//! [`si_data::IndexPool::probe`]), so it **must not probe the same relation
-//! of the same source** — it may record, bind and filter, and it may probe
-//! other relations.  The bounded executor only records.
+//! * [`AccessSource::for_each_via`] hands every tuple that survives the
+//!   residual filter to a callback as a `&Tuple` borrowed from storage — no
+//!   tuple is cloned and no result vector is built, which is what keeps a
+//!   bounded read's allocations independent of the tuples it fetches;
+//! * [`AccessSource::fetch_embedded_via`] and [`AccessSource::contains_at`]
+//!   are the embedded enumeration and the membership probe.
 //!
-//! A probe whose attribute list and key differ in length is rejected with
-//! [`si_data::DataError::ArityMismatch`] rather than silently truncated.
+//! The name-addressed [`AccessSource::fetch`], [`AccessSource::fetch_via`],
+//! [`AccessSource::fetch_embedded`] and [`AccessSource::contains`] are
+//! resolve-then-probe wrappers over them, for callers that hold attribute
+//! names and want owned rows.  The callback may do anything, including
+//! probing the same relation again: index probes hold no lock while it runs.
+//!
+//! A probe whose key differs in length from its attribute list is rejected
+//! with [`si_data::DataError::ArityMismatch`] rather than silently
+//! truncated.
 
 use crate::constraint::AccessConstraint;
 use crate::embedded::EmbeddedConstraint;
@@ -43,101 +52,126 @@ use crate::indexed::AccessError;
 use crate::schema::AccessSchema;
 use si_data::{
     AccessMeter, DataError, Database, DatabaseSchema, DatabaseSnapshot, MeterSink, MeterSnapshot,
-    Relation, RelationSchema, Tuple, Value,
+    Relation, Tuple, Value,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// A short list kept inline up to `N` entries and spilled to the heap
-/// beyond: probe keys are a handful of attributes, so splitting one
-/// allocates nothing.
-#[derive(Debug)]
-struct InlineVec<T: Copy, const N: usize> {
-    len: usize,
-    inline: [T; N],
-    spilled: Vec<T>,
-}
-
-impl<T: Copy, const N: usize> InlineVec<T, N> {
-    fn new(fill: T) -> Self {
-        InlineVec {
-            len: 0,
-            inline: [fill; N],
-            spilled: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, value: T) {
-        if self.len < N {
-            self.inline[self.len] = value;
-        } else {
-            if self.len == N {
-                self.spilled.extend_from_slice(&self.inline);
-            }
-            self.spilled.push(value);
-        }
-        self.len += 1;
-    }
-
-    fn as_slice(&self) -> &[T] {
-        if self.len <= N {
-            &self.inline[..self.len]
-        } else {
-            &self.spilled
-        }
-    }
-}
-
-/// Probe attributes held inline; a wider probe spills to the heap.
-const PROBE_INLINE: usize = 4;
-
-/// A probe split into its pushed-down index part and residual filter — the
-/// decomposition every [`AccessSource`] surface shares.
+/// A fetch resolved against a database schema ahead of any key: which
+/// relation it reads, which positions form the index key, which are checked
+/// afterwards, and what it is charged.
 ///
-/// The constraint's attribute set forms the index key; bound attributes
-/// outside it become positional post-filter equalities.  Attributes are
-/// resolved to positions once, here.  Charging (and, for the sharded
-/// surfaces, routing) is defined on this one split, which is what keeps
-/// `ShardedAccess`'s *mirror accounting* exactly equal to the unsharded
-/// surfaces: both run the same split, the same per-relation probe and the
-/// same charge points.
-#[derive(Debug)]
-pub(crate) struct ProbeSplit {
-    index_positions: InlineVec<usize, PROBE_INLINE>,
-    index_key: InlineVec<Value, PROBE_INLINE>,
-    filter: InlineVec<(usize, Value), PROBE_INLINE>,
+/// The constraint's pushed-down attribute set (a plain constraint's `X`, an
+/// embedded constraint's `from`) forms the index key; bound attributes
+/// outside it become positional post-filter equalities.  Charging (and, for
+/// the sharded surfaces, routing) is defined on this one split, which is
+/// what keeps `ShardedAccess`'s *mirror accounting* exactly equal to the
+/// unsharded surfaces: both run the same split, the same per-relation probe
+/// and the same charge points.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResolvedProbe {
+    /// The relation's id in the schema the probe was resolved against (see
+    /// [`DatabaseSchema::relation_id`]).
+    pub relation: usize,
+    /// The relation's name.
+    pub relation_name: String,
+    /// Positions pushed into the index probe, in key order.
+    pub pushed: Vec<usize>,
+    /// Positions checked by the residual filter, in key order after
+    /// [`ResolvedProbe::pushed`].
+    pub residual: Vec<usize>,
+    /// Time units charged per probe.
+    pub time: u64,
 }
 
-/// Splits `(attrs, key)` against the pushed-down attribute set `pushed`
-/// (a plain constraint's `X`, or an embedded constraint's `from`).
-pub(crate) fn split_probe(
+impl ResolvedProbe {
+    /// Resolves a probe of `relation` on the attributes `attrs`, pushing the
+    /// ones in `pushed` into the index and charging `time` per probe.
+    ///
+    /// Returns the probe and its key order: entry `i` is the index into
+    /// `attrs` of the attribute whose value goes at key position `i`
+    /// (pushed positions first, then residual ones).
+    pub fn resolve<A: AsRef<str>>(
+        schema: &DatabaseSchema,
+        relation: &str,
+        pushed: &[String],
+        time: u64,
+        attrs: &[A],
+    ) -> Result<(ResolvedProbe, Vec<usize>), AccessError> {
+        let id = schema.relation_id(relation)?;
+        let rel_schema = schema.relation_at(id).expect("resolved id is in range");
+        let mut probe = ResolvedProbe {
+            relation: id,
+            relation_name: relation.to_owned(),
+            pushed: Vec::new(),
+            residual: Vec::new(),
+            time,
+        };
+        let (mut pushed_order, mut residual_order) = (Vec::new(), Vec::new());
+        for (i, a) in attrs.iter().enumerate() {
+            let a = a.as_ref();
+            let position = rel_schema.position_of(a)?;
+            if pushed.iter().any(|p| p == a) {
+                probe.pushed.push(position);
+                pushed_order.push(i);
+            } else {
+                probe.residual.push(position);
+                residual_order.push(i);
+            }
+        }
+        pushed_order.extend(residual_order);
+        Ok((probe, pushed_order))
+    }
+}
+
+/// Resolves a name-addressed probe against `schema` and lays `key` out in
+/// the probe's key order: the one step every name wrapper shares.
+fn resolve_named(
+    schema: &DatabaseSchema,
+    relation: &str,
     pushed: &[String],
-    rel_schema: &RelationSchema,
+    time: u64,
     attrs: &[String],
     key: &[Value],
-) -> Result<ProbeSplit, AccessError> {
-    if attrs.len() != key.len() {
-        return Err(AccessError::Data(DataError::ArityMismatch {
-            relation: rel_schema.name().to_owned(),
-            expected: attrs.len(),
-            actual: key.len(),
-        }));
+) -> Result<(ResolvedProbe, Vec<Value>), AccessError> {
+    check_key_len(relation, attrs.len(), key.len())?;
+    let (probe, order) = ResolvedProbe::resolve(schema, relation, pushed, time, attrs)?;
+    let key = order.iter().map(|&i| key[i]).collect();
+    Ok((probe, key))
+}
+
+/// Rejects a probe key whose length differs from the attributes it binds,
+/// before anything is charged.
+fn check_key_len(relation: &str, expected: usize, actual: usize) -> Result<(), AccessError> {
+    if expected == actual {
+        return Ok(());
     }
-    let mut split = ProbeSplit {
-        index_positions: InlineVec::new(0),
-        index_key: InlineVec::new(Value::Null),
-        filter: InlineVec::new((0, Value::Null)),
-    };
-    for (a, v) in attrs.iter().zip(key) {
-        let position = rel_schema.position_of(a)?;
-        if pushed.contains(a) {
-            split.index_positions.push(position);
-            split.index_key.push(*v);
-        } else {
-            split.filter.push((position, *v));
-        }
+    Err(AccessError::Data(DataError::ArityMismatch {
+        relation: relation.to_owned(),
+        expected,
+        actual,
+    }))
+}
+
+/// A resolved probe paired with one key, split into its index part and
+/// residual part — the decomposition every [`AccessSource`] surface
+/// charges and routes on.
+#[derive(Debug)]
+pub(crate) struct ProbeSplit<'a> {
+    probe: &'a ResolvedProbe,
+    index_key: &'a [Value],
+    filter_key: &'a [Value],
+}
+
+/// Runs an index probe on `positions = key` against one relation, handing
+/// each match to `f`: `for_each_eq`, or — for no positions, where the
+/// constraint bounds the whole relation — a (bounded) iteration.
+fn index_probe(rel: &Relation, positions: &[usize], key: &[Value], f: &mut dyn FnMut(&Tuple)) {
+    if positions.is_empty() {
+        rel.iter().for_each(f);
+    } else {
+        rel.for_each_eq(positions, key, f);
     }
-    Ok(split)
 }
 
 /// Runs the pushed-down part of a probe against one relation, collecting
@@ -155,64 +189,73 @@ pub fn raw_index_probe(
     attrs: &[String],
     key: &[Value],
 ) -> Result<Vec<Tuple>, AccessError> {
-    let split = split_probe(attrs, rel.schema(), attrs, key)?;
+    check_key_len(rel.name(), attrs.len(), key.len())?;
+    let positions = rel.schema().positions_of(attrs)?;
     let mut out = Vec::new();
-    split.for_each(rel, &mut |t| out.push(t.clone()));
+    index_probe(rel, &positions, key, &mut |t| out.push(t.clone()));
     Ok(out)
 }
 
-impl ProbeSplit {
+impl<'a> ProbeSplit<'a> {
+    /// Pairs `probe` with `key` (laid out in the probe's key order),
+    /// rejecting a key of the wrong length.
+    pub(crate) fn new(probe: &'a ResolvedProbe, key: &'a [Value]) -> Result<Self, AccessError> {
+        let expected = probe.pushed.len() + probe.residual.len();
+        check_key_len(&probe.relation_name, expected, key.len())?;
+        let (index_key, filter_key) = key.split_at(probe.pushed.len());
+        Ok(ProbeSplit {
+            probe,
+            index_key,
+            filter_key,
+        })
+    }
+
     /// Runs the index part against one relation, handing each raw
     /// (pre-residual) match to `f` (see [`raw_index_probe`]).
     pub(crate) fn for_each(&self, rel: &Relation, f: &mut dyn FnMut(&Tuple)) {
-        if self.index_positions().is_empty() {
-            rel.iter().for_each(f);
-        } else {
-            rel.for_each_eq(self.index_positions(), self.index_key(), f);
-        }
+        index_probe(rel, self.index_positions(), self.index_key, f);
     }
 
     /// The pushed-down positions, in probe order.
     pub(crate) fn index_positions(&self) -> &[usize] {
-        self.index_positions.as_slice()
+        &self.probe.pushed
     }
 
     /// The pushed-down key, aligned with [`ProbeSplit::index_positions`].
     pub(crate) fn index_key(&self) -> &[Value] {
-        self.index_key.as_slice()
+        self.index_key
     }
 
     /// The value the pushed-down part binds at `position`, if any — what a
     /// sharded surface routes on.
     pub(crate) fn index_value(&self, position: usize) -> Option<Value> {
         let i = self.index_positions().iter().position(|&p| p == position)?;
-        Some(self.index_key()[i])
+        Some(self.index_key[i])
     }
 
     /// The value the residual filter requires at `position`, if any.
     pub(crate) fn filter_value(&self, position: usize) -> Option<Value> {
-        let filter = self.filter.as_slice();
-        filter.iter().find(|(p, _)| *p == position).map(|(_, v)| *v)
+        let i = self.probe.residual.iter().position(|&p| p == position)?;
+        Some(self.filter_key[i])
     }
 
     /// Applies the residual filter.
     pub(crate) fn residual_keeps(&self, tuple: &Tuple) -> bool {
-        let filter = self.filter.as_slice();
-        filter.iter().all(|(p, v)| tuple.get(*p) == Some(v))
+        let mut residual = self.probe.residual.iter().zip(self.filter_key);
+        residual.all(|(&p, v)| tuple.get(p) == Some(v))
     }
 
-    /// A plain fetch's charging: one probe and `time` units, then every raw
-    /// tuple `probe` delivers (pre-residual), of which those passing the
+    /// A plain fetch's charging: one probe and the probe's time, then every
+    /// raw tuple `probe` delivers (pre-residual), of which those passing the
     /// residual filter reach `f`.
     pub(crate) fn metered_fetch(
         &self,
         meter: &dyn MeterSink,
-        time: u64,
         f: &mut dyn FnMut(&Tuple),
         probe: impl FnOnce(&mut dyn FnMut(&Tuple)) -> Result<(), AccessError>,
     ) -> Result<(), AccessError> {
         meter.add_probe();
-        meter.add_time(time);
+        meter.add_time(self.probe.time);
         let mut fetched = 0u64;
         probe(&mut |t| {
             fetched += 1;
@@ -224,19 +267,18 @@ impl ProbeSplit {
         Ok(())
     }
 
-    /// An embedded fetch's charging and tail: one probe and `time` units,
-    /// then the raw tuples `probe` delivers are residual-filtered, projected
-    /// onto `positions` and deduplicated in arrival order; the distinct
-    /// projections are what is charged.
+    /// An embedded fetch's charging and tail: one probe and the probe's
+    /// time, then the raw tuples `probe` delivers are residual-filtered,
+    /// projected onto `positions` and deduplicated in arrival order; the
+    /// distinct projections are what is charged.
     pub(crate) fn metered_embedded(
         &self,
         meter: &dyn MeterSink,
-        time: u64,
         positions: &[usize],
         probe: impl FnOnce(&mut dyn FnMut(&Tuple)) -> Result<(), AccessError>,
     ) -> Result<Vec<Tuple>, AccessError> {
         meter.add_probe();
-        meter.add_time(time);
+        meter.add_time(self.probe.time);
         let mut seen: BTreeSet<Tuple> = BTreeSet::new();
         let mut out = Vec::new();
         probe(&mut |t| {
@@ -255,8 +297,9 @@ impl ProbeSplit {
 /// The embedded constraint every surface selects for
 /// [`AccessSource::fetch_embedded`]: usable with the bound attributes,
 /// covering the requested projection, minimal `N` (ties broken by
-/// declaration order via `min_by_key`).
-pub(crate) fn best_embedded<'a>(
+/// declaration order via `min_by_key`).  A planner that resolves embedded
+/// probes ahead of time selects with this same function.
+pub fn best_embedded<'a>(
     access: &'a AccessSchema,
     relation: &str,
     attrs: &[String],
@@ -277,13 +320,20 @@ pub(crate) fn best_embedded<'a>(
         })
 }
 
+/// The error a probe of a relation id the storage does not have reports.
+pub(crate) fn unknown_relation(name: &str) -> AccessError {
+    AccessError::Data(DataError::UnknownRelation(name.to_owned()))
+}
+
 /// Storage-agnostic access-schema-mediated retrieval.
 ///
 /// Implementors provide relation lookup, the access schema and a meter; the
 /// provided methods implement the paper's fetch semantics on top (and are
 /// the *only* retrieval primitives bounded executors may use).  Surfaces
-/// without a single local relation (sharded, replicated) override
-/// [`AccessSource::for_each_via`] and the non-fetch primitives instead.
+/// without a single local relation (sharded, replicated) override the
+/// positional primitives — [`AccessSource::for_each_via`],
+/// [`AccessSource::fetch_embedded_via`], [`AccessSource::contains_at`] — and
+/// [`AccessSource::full_scan`] instead.
 pub trait AccessSource {
     /// The database schema of the underlying instance.
     fn db_schema(&self) -> &DatabaseSchema;
@@ -293,6 +343,13 @@ pub trait AccessSource {
 
     /// Looks up a relation of the underlying instance.
     fn source_relation(&self, name: &str) -> Result<&Relation, AccessError>;
+
+    /// Looks up the relation with id `relation` (named `name`) — by name
+    /// unless the storage is laid out by id.
+    fn source_relation_at(&self, relation: usize, name: &str) -> Result<&Relation, AccessError> {
+        let _ = relation;
+        self.source_relation(name)
+    }
 
     /// The sink every access is charged to.
     fn meter_sink(&self) -> &dyn MeterSink;
@@ -312,6 +369,62 @@ pub trait AccessSource {
     /// callers onto the metered, access-mediated path.
     fn full_instance(&self) -> Option<&Database> {
         None
+    }
+
+    /// Runs a resolved plain-constraint probe with `key` (laid out in the
+    /// probe's key order) and hands every matching tuple to `f`, borrowed
+    /// from storage — the borrowing primitive every other fetch collects
+    /// over.  Charged exactly like [`crate::AccessIndexedDatabase::fetch_via`].
+    fn for_each_via(
+        &self,
+        probe: &ResolvedProbe,
+        key: &[Value],
+        f: &mut dyn FnMut(&Tuple),
+    ) -> Result<(), AccessError> {
+        let split = ProbeSplit::new(probe, key)?;
+        let rel = self.source_relation_at(probe.relation, &probe.relation_name)?;
+        split.metered_fetch(self.meter_sink(), f, |raw| {
+            split.for_each(rel, raw);
+            Ok(())
+        })
+    }
+
+    /// Runs a resolved embedded-constraint probe with `key` and returns the
+    /// distinct projections of the matches onto `onto` (positions), in
+    /// arrival order.  Charged exactly like
+    /// [`crate::AccessIndexedDatabase::fetch_embedded`].
+    fn fetch_embedded_via(
+        &self,
+        probe: &ResolvedProbe,
+        key: &[Value],
+        onto: &[usize],
+    ) -> Result<Vec<Tuple>, AccessError> {
+        let split = ProbeSplit::new(probe, key)?;
+        let rel = self.source_relation_at(probe.relation, &probe.relation_name)?;
+        split.metered_embedded(self.meter_sink(), onto, |raw| {
+            split.for_each(rel, raw);
+            Ok(())
+        })
+    }
+
+    /// Membership probe on the relation with id `relation` (named `name`):
+    /// is the tuple with exactly `values` in it?  Always permitted; charged
+    /// as one probe fetching at most one tuple.
+    fn contains_at(
+        &self,
+        relation: usize,
+        name: &str,
+        values: &[Value],
+    ) -> Result<bool, AccessError> {
+        let rel = self.source_relation_at(relation, name)?;
+        let meter = self.meter_sink();
+        meter.add_probe();
+        meter.add_time(1);
+        let found = rel.contains_values(values);
+        if found {
+            meter.add_tuples(1);
+        }
+        Ok(found)
     }
 
     /// Fetches `σ_{attrs = key}(relation)` through the tightest usable
@@ -334,30 +447,8 @@ pub trait AccessSource {
     }
 
     /// Fetches `σ_{attrs = key}(relation)` through a specific constraint
-    /// (chosen by a planner) and hands every matching tuple to `f`, borrowed
-    /// from storage — the borrowing primitive every other fetch collects
-    /// over.  Charged exactly like [`crate::AccessIndexedDatabase::fetch_via`].
-    ///
-    /// `f` must not probe `relation` of this source (see the module docs).
-    fn for_each_via(
-        &self,
-        constraint: &AccessConstraint,
-        relation: &str,
-        attrs: &[String],
-        key: &[Value],
-        f: &mut dyn FnMut(&Tuple),
-    ) -> Result<(), AccessError> {
-        debug_assert_eq!(constraint.relation, relation);
-        let rel = self.source_relation(relation)?;
-        let split = split_probe(&constraint.on, rel.schema(), attrs, key)?;
-        split.metered_fetch(self.meter_sink(), constraint.time, f, |raw| {
-            split.for_each(rel, raw);
-            Ok(())
-        })
-    }
-
-    /// Fetches through a specific constraint, collecting owned rows: a
-    /// collect over [`AccessSource::for_each_via`].
+    /// (chosen by a planner), collecting owned rows: resolves the probe,
+    /// then collects over [`AccessSource::for_each_via`].
     /// See [`crate::AccessIndexedDatabase::fetch_via`].
     fn fetch_via(
         &self,
@@ -366,15 +457,23 @@ pub trait AccessSource {
         attrs: &[String],
         key: &[Value],
     ) -> Result<Vec<Tuple>, AccessError> {
+        debug_assert_eq!(constraint.relation, relation);
+        let (probe, key) = resolve_named(
+            self.db_schema(),
+            relation,
+            &constraint.on,
+            constraint.time,
+            attrs,
+            key,
+        )?;
         let mut out = Vec::new();
-        self.for_each_via(constraint, relation, attrs, key, &mut |t| {
-            out.push(t.clone())
-        })?;
+        self.for_each_via(&probe, &key, &mut |t| out.push(t.clone()))?;
         Ok(out)
     }
 
     /// Fetches the projection `π_onto(σ_{attrs = key}(relation))` through an
-    /// embedded constraint.  See
+    /// embedded constraint: selects it, resolves the probe, then runs
+    /// [`AccessSource::fetch_embedded_via`].  See
     /// [`crate::AccessIndexedDatabase::fetch_embedded`].
     fn fetch_embedded(
         &self,
@@ -384,13 +483,16 @@ pub trait AccessSource {
         onto: &[String],
     ) -> Result<Vec<Tuple>, AccessError> {
         let constraint = best_embedded(self.access_schema(), relation, attrs, onto)?;
-        let rel = self.source_relation(relation)?;
-        let positions = rel.schema().positions_of(onto)?;
-        let split = split_probe(&constraint.from, rel.schema(), attrs, key)?;
-        split.metered_embedded(self.meter_sink(), constraint.time, &positions, |raw| {
-            split.for_each(rel, raw);
-            Ok(())
-        })
+        let positions = self.db_schema().relation(relation)?.positions_of(onto)?;
+        let (probe, key) = resolve_named(
+            self.db_schema(),
+            relation,
+            &constraint.from,
+            constraint.time,
+            attrs,
+            key,
+        )?;
+        self.fetch_embedded_via(&probe, &key, &positions)
     }
 
     /// Membership probe: is the tuple with exactly `values` in `relation`?
@@ -398,15 +500,8 @@ pub trait AccessSource {
     /// Takes the value slice so callers need not build a [`Tuple`].
     /// See [`crate::AccessIndexedDatabase::contains`].
     fn contains(&self, relation: &str, values: &[Value]) -> Result<bool, AccessError> {
-        let rel = self.source_relation(relation)?;
-        let meter = self.meter_sink();
-        meter.add_probe();
-        meter.add_time(1);
-        let found = rel.contains_values(values);
-        if found {
-            meter.add_tuples(1);
-        }
-        Ok(found)
+        let id = self.db_schema().relation_id(relation)?;
+        self.contains_at(id, relation, values)
     }
 
     /// Retrieves the entire relation; only allowed under a full-access grant.
@@ -513,6 +608,12 @@ impl<M: MeterSink> AccessSource for SnapshotAccess<M> {
         self.snapshot.relation(name).map_err(AccessError::Data)
     }
 
+    fn source_relation_at(&self, relation: usize, name: &str) -> Result<&Relation, AccessError> {
+        self.snapshot
+            .relation_at(relation)
+            .ok_or_else(|| unknown_relation(name))
+    }
+
     fn meter_sink(&self) -> &dyn MeterSink {
         &self.meter
     }
@@ -599,6 +700,77 @@ mod tests {
         }
         let rel = owned.database().relation("friend").unwrap();
         assert!(raw_index_probe(rel, &two, &[Value::int(1)]).is_err());
+    }
+
+    #[test]
+    fn a_resolved_probe_serves_every_surface_and_may_nest() {
+        let (db, access) = db_with_indexes();
+        let owned = crate::AccessIndexedDatabase::new(db.clone(), access.clone()).unwrap();
+        let snapshot: SnapshotAccess = SnapshotAccess::new(
+            SnapshotStore::new(db.clone()).pin(),
+            Arc::new(access.clone()),
+        );
+        let partition = si_data::PartitionMap::new().with("friend", "id1");
+        let sharded_store = si_data::ShardedSnapshotStore::new(db, partition, 2).unwrap();
+        let sharded: crate::ShardedAccess =
+            crate::ShardedAccess::new(sharded_store.pin(), Arc::new(access.clone()));
+        let surfaces: [&dyn AccessSource; 3] = [&owned, &snapshot, &sharded];
+
+        // friend probed on (id2, id1) through the id1 constraint: id1 is
+        // pushed into the index, id2 is a residual filter, and the key is
+        // laid out pushed-first.
+        let constraint = access.constraints_on("friend").next().unwrap().clone();
+        let attrs = ["id2".to_string(), "id1".to_string()];
+        let (probe, order) = ResolvedProbe::resolve(
+            &social_schema(),
+            "friend",
+            &constraint.on,
+            constraint.time,
+            &attrs,
+        )
+        .unwrap();
+        assert_eq!(probe.relation, 0);
+        assert_eq!(
+            (probe.pushed.as_slice(), probe.residual.as_slice()),
+            (&[0][..], &[1][..])
+        );
+        assert_eq!(order, vec![1, 0]);
+        let key = [Value::int(1), Value::int(3)];
+        for (i, source) in surfaces.into_iter().enumerate() {
+            let mut hits = Vec::new();
+            source
+                .for_each_via(&probe, &key, &mut |t| {
+                    // The callback may probe the same relation again.
+                    let back = source.fetch("friend", &["id1".into()], &[t[1]]).unwrap();
+                    hits.push((t.clone(), back.len()));
+                })
+                .unwrap();
+            assert_eq!(hits, vec![(tuple![1, 3], 0)], "surface {i}");
+            // Named and positional probes agree, charges included.
+            let before = source.meter_snapshot();
+            let named = source
+                .fetch_via(
+                    &constraint,
+                    "friend",
+                    &attrs,
+                    &[Value::int(3), Value::int(1)],
+                )
+                .unwrap();
+            assert_eq!(named, vec![tuple![1, 3]], "surface {i}");
+            let charged = source.meter_snapshot().since(&before);
+            assert_eq!((charged.index_probes, charged.tuples_fetched), (1, 2));
+            // A key of the wrong length is refused before anything is charged.
+            let before = source.meter_snapshot();
+            assert!(matches!(
+                source.for_each_via(&probe, &key[..1], &mut |_| {}),
+                Err(AccessError::Data(DataError::ArityMismatch {
+                    expected: 2,
+                    actual: 1,
+                    ..
+                }))
+            ));
+            assert_eq!(source.meter_snapshot(), before, "surface {i}");
+        }
     }
 
     #[test]

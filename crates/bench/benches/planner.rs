@@ -84,8 +84,8 @@ fn bench_planner(c: &mut Criterion) {
         .unwrap();
     // The orderings genuinely differ: greedy trusts the declared bounds and
     // starts with `s`; the statistics start with `r`.
-    assert_eq!(greedy.steps[0].atom_index(), 1);
-    assert_eq!(costed.plan.steps[0].atom_index(), 0);
+    assert_eq!(greedy.steps()[0].atom_index(), 1);
+    assert_eq!(costed.plan.steps()[0].atom_index(), 0);
     assert!(!costed.greedy_fallback);
 
     let adb = AccessIndexedDatabase::new(db, access.clone()).unwrap();

@@ -333,7 +333,9 @@ impl<'a> CostBasedPlanner<'a> {
                 parameters.to_vec(),
                 steps,
                 best.static_cost,
-            ),
+                self.schema,
+                self.access,
+            )?,
             estimated_tuples: best.est_cost,
             states_explored: explored,
             greedy_fallback: false,
@@ -369,8 +371,8 @@ impl<'a> CostBasedPlanner<'a> {
     pub fn estimate_plan(&self, plan: &BoundedPlan) -> f64 {
         let mut rows = 1.0f64;
         let mut cost = 0.0f64;
-        for step in &plan.steps {
-            let atom = &plan.query.atoms[step.atom_index()];
+        for step in plan.steps() {
+            let atom = &plan.query().atoms[step.atom_index()];
             match step {
                 PlanStep::Fetch {
                     constraint,
@@ -455,7 +457,7 @@ mod tests {
         assert!(!costed.greedy_fallback);
         assert!(costed.states_explored >= 3);
         // Same shape and static bound as the paper recipe.
-        assert_eq!(costed.plan.steps.len(), 2);
+        assert_eq!(costed.plan.steps().len(), 2);
         assert_eq!(costed.plan.static_cost().max_tuples, 10_000);
         // The estimate reflects the actual tiny database, not the bound.
         assert!(costed.estimated_tuples < 10.0);
@@ -489,7 +491,7 @@ mod tests {
         let planner = CostBasedPlanner::new(&schema, &access, &stats);
         let q = parse_cq(r#"Q(name) :- person(p, name, city)"#).unwrap();
         let costed = planner.plan_costed(&q, &["p".into()], None).unwrap();
-        match &costed.plan.steps[0] {
+        match &costed.plan.steps()[0] {
             PlanStep::Fetch { constraint, .. } => {
                 assert_eq!(constraint.on, vec!["id".to_string()]);
             }
@@ -533,8 +535,8 @@ mod tests {
             .unwrap();
         // Greedy starts with visit (declared 100 < 1000); the cost-based
         // planner starts with friend (expected ~1.5 < 100).
-        assert_eq!(greedy.steps[0].atom_index(), 1);
-        assert_eq!(costed.plan.steps[0].atom_index(), 0);
+        assert_eq!(greedy.steps()[0].atom_index(), 1);
+        assert_eq!(costed.plan.steps()[0].atom_index(), 0);
         assert!(costed.estimated_tuples < planner.estimate_plan(&greedy));
     }
 
@@ -597,11 +599,11 @@ mod tests {
 
         // Unbudgeted, the estimates pick y-first (worst case 2100)…
         let unbudgeted = planner.plan_costed(&q, &params, None).unwrap();
-        assert_eq!(unbudgeted.plan.steps[0].atom_index(), 1);
+        assert_eq!(unbudgeted.plan.steps()[0].atom_index(), 1);
         assert_eq!(unbudgeted.plan.static_cost().max_tuples, 2100);
         // …but a 2050-tuple budget admits only x-first (worst case 2010).
         let budgeted = planner.plan_costed(&q, &params, Some(2050)).unwrap();
-        assert_eq!(budgeted.plan.steps[0].atom_index(), 0);
+        assert_eq!(budgeted.plan.steps()[0].atom_index(), 0);
         assert_eq!(budgeted.plan.static_cost().max_tuples, 2010);
         // Below every ordering, the error reports the true cheapest.
         let err = planner.plan_costed(&q, &params, Some(2000)).unwrap_err();
@@ -646,7 +648,7 @@ mod tests {
         assert!(costed.greedy_fallback);
         assert!(costed
             .plan
-            .steps
+            .steps()
             .iter()
             .any(|s| matches!(s, PlanStep::Enumerate { .. })));
     }

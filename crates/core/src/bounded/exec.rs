@@ -5,41 +5,48 @@
 //! variables and extends them step by step, touching the base data only
 //! through the access-schema-mediated retrieval primitives of
 //! [`AccessSource`] (an owned [`si_access::AccessIndexedDatabase`], a pinned
-//! [`si_access::SnapshotAccess`] version, …).  The result records the
+//! [`si_access::ShardedAccess`] version, …).  The result records the
 //! answers, the witness `D_Q` (the base facts actually used) and the exact
 //! access cost.
 //!
+//! Compilation lives in the planner: every [`BoundedPlan`] carries its
+//! physical form — variables numbered into row slots, each step's probe
+//! resolved to a relation id and pushed/residual positions, each probe key
+//! a program of constants and slots.  A request binds its parameter values
+//! into the seed row and runs the steps; it does no name resolution and
+//! builds no strings.
+//!
+//! The partial assignments are rows of one flat `Vec<Option<Value>>` slab,
+//! `stride` values each (one per variable, and at least one so that a
+//! variable-free query still has rows).  Extending a row by a fetched tuple
+//! is an `extend_from_slice` of the row plus in-place binds, undone by a
+//! truncate when the tuple does not match.
+//!
 //! Fetches go through the borrowing primitive
 //! [`AccessSource::for_each_via`]: each fetched tuple is matched against the
-//! atom in place and extends a binding without being cloned.  The witness is
-//! recorded flat — the used facts' values appended to one arena, plus an
-//! `(atom, offset)` entry per fact — and only rendered into a [`Witness`] of
-//! `(relation, tuple)` facts when [`BoundedAnswer::witness`] is called, so a
-//! serving path that never reads it never pays for it.
+//! atom in place without being cloned.  The witness is recorded flat — the
+//! used facts' values appended to one arena, plus an `(atom, offset)` entry
+//! per fact — and only rendered into a [`Witness`] of `(relation, tuple)`
+//! facts when [`BoundedAnswer::witness`] is called, so a serving path that
+//! never reads it never pays for it.
 //!
-//! Assignments are flat [`Binding`]s over a [`VarTable`] built once per
-//! execution: variables are numbered up front, atoms and equalities are
-//! compiled to slot ids, and every extension step clones a flat slab of
-//! `Copy` values instead of a `BTreeMap` — the copy-cheap data plane shared
-//! with the `si-query` evaluators.
-//!
-//! Execution is split into three phases — [`compile`](self) the plan to slot
-//! ids, run the steps, finalise (equality filter, projection, dedup) — so
-//! that [`execute_bounded_partitioned`] can run the *first* fetch once and
-//! fan the surviving rows out morsel-style across worker threads, each
-//! worker running the remaining steps over its contiguous chunk with its own
-//! meter.  Rows never interact across steps, so the partitioned result
-//! (answers, witness, access counts) is identical to the sequential one —
-//! the property the `si-engine` correctness tests pin down.
+//! Execution has two phases — run the steps, then finalise (equality filter,
+//! projection, dedup) — so that [`execute_bounded_partitioned`] can run the
+//! *first* step once and fan the surviving rows out morsel-style across
+//! worker threads as slab ranges, each worker running the remaining steps
+//! over its contiguous range with its own meter.  Rows never interact
+//! across steps, so the partitioned result (answers, witness, access counts)
+//! is identical to the sequential one — the property the `si-engine`
+//! correctness tests pin down.
 
-use crate::bounded::plan::{BoundedPlan, PlanStep};
+use crate::bounded::physical::{PhysicalPlan, PhysicalStep, SlotTerm, StepOp};
+use crate::bounded::plan::BoundedPlan;
 use crate::error::CoreError;
 use crate::si::Witness;
 use crate::trace::{ExecPhase, TraceSink};
 use si_access::AccessSource;
 use si_data::{MeterSnapshot, Tuple, TupleSet, Value};
-use si_query::binding::{Binding, VarId, VarTable};
-use si_query::Term;
+use std::sync::Arc;
 
 /// The result of executing a bounded plan.
 ///
@@ -91,11 +98,12 @@ impl Eq for BoundedAnswer {}
 /// The facts an execution used, recorded flat: one value arena plus a
 /// `(atom index, offset)` entry per fact, in the order they were used.  A
 /// fact's values run from its offset to the next fact's; its arity is the
-/// atom's.  Relation names are attached once, when the answer is finalised.
+/// atom's.  Relation names are attached once, when the answer is finalised,
+/// by sharing the plan's name list.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WitnessLog {
     /// Relation name per atom of the plan's query.
-    relations: Vec<String>,
+    relations: Arc<[String]>,
     values: Vec<Value>,
     facts: Vec<(usize, usize)>,
 }
@@ -133,334 +141,162 @@ impl WitnessLog {
     }
 }
 
-/// An atom term compiled to the plan's variable table.
-#[derive(Debug, Clone, Copy)]
-enum CTerm {
-    Slot(VarId),
-    Const(Value),
-}
-
-/// Where a probe-key component comes from.
-#[derive(Debug, Clone)]
-enum KeySrc {
-    Const(Value),
-    Slot(VarId),
-}
-
-/// Extends `binding` with the bindings induced by matching the compiled atom
-/// against a tuple's `values` (borrowed from storage); returns `None` on any
-/// inconsistency (constant mismatch or conflicting variable binding).
-fn extend_binding(binding: &Binding, cterms: &[CTerm], values: &[Value]) -> Option<Binding> {
-    if values.len() != cterms.len() {
-        return None;
-    }
-    let mut extended = binding.clone();
-    for (ct, &value) in cterms.iter().zip(values) {
-        match ct {
-            CTerm::Const(c) => {
-                if *c != value {
-                    return None;
-                }
-            }
-            CTerm::Slot(id) => {
-                if !extended.bind(*id, value) {
-                    return None;
-                }
-            }
+/// Refuses a source whose schema does not have each step's relation at the
+/// id the plan resolved it to: a plan compiled for one schema would
+/// otherwise index the wrong relation of another.
+fn check_source<A: AccessSource>(physical: &PhysicalPlan, adb: &A) -> Result<(), CoreError> {
+    let schema = adb.db_schema();
+    for step in &physical.steps {
+        let (id, name) = step.op.relation();
+        let found = schema.relation_at(id).map(|r| r.name());
+        if found != Some(name) {
+            return Err(CoreError::Invariant(format!(
+                "plan reads `{name}` as relation #{id}, where the source's schema has {}",
+                found.map_or("no relation".to_owned(), |f| format!("`{f}`"))
+            )));
         }
     }
-    Some(extended)
+    Ok(())
 }
 
-/// A plan compiled to slot ids, ready to run (phase 1 of execution).
-struct CompiledPlan {
-    vars: VarTable,
-    /// Per-atom compiled terms, indexed like `plan.query.atoms`.
-    cterms: Vec<Vec<CTerm>>,
-    var_var_eqs: Vec<(VarId, VarId)>,
-    var_const_eqs: Vec<(VarId, Value)>,
-    /// The seed row (parameters + constant equalities), or none when the
-    /// equalities are contradictory.
-    seed_rows: Vec<Binding>,
-    /// Which slots the seed binds (boundness is uniform across rows).
-    seed_bound: Vec<bool>,
-}
-
-/// Numbers the variables once and translates atoms and equalities to slot
-/// ids; builds the seed binding from the parameter values.
-fn compile(plan: &BoundedPlan, parameter_values: &[Value]) -> Result<CompiledPlan, CoreError> {
-    if parameter_values.len() != plan.parameters.len() {
+/// The seed slab: the plan's seed row with the parameter values bound, or
+/// no row when they contradict its constant equalities.
+fn seed_rows(
+    physical: &PhysicalPlan,
+    parameter_values: &[Value],
+) -> Result<Vec<Option<Value>>, CoreError> {
+    if parameter_values.len() != physical.params.len() {
         return Err(CoreError::Invariant(format!(
             "plan expects {} parameter values, got {}",
-            plan.parameters.len(),
+            physical.params.len(),
             parameter_values.len()
         )));
     }
-    let mut vars = VarTable::new();
-    for p in &plan.parameters {
-        vars.intern(p);
+    if !physical.seed_consistent {
+        return Ok(Vec::new());
     }
-    for v in plan.query.body_variables() {
-        vars.intern(&v);
-    }
-    let compiled: Vec<Vec<CTerm>> = plan
-        .query
-        .atoms
-        .iter()
-        .map(|atom| {
-            atom.terms
-                .iter()
-                .map(|t| match t {
-                    Term::Var(v) => CTerm::Slot(vars.intern(v)),
-                    Term::Const(c) => CTerm::Const(*c),
-                })
-                .collect()
-        })
-        .collect();
-    let mut var_var_eqs: Vec<(VarId, VarId)> = Vec::new();
-    let mut var_const_eqs: Vec<(VarId, Value)> = Vec::new();
-    let mut consistent = true;
-    for (l, r) in &plan.query.equalities {
-        match (l, r) {
-            (Term::Var(a), Term::Var(b)) => {
-                var_var_eqs.push((vars.intern(a), vars.intern(b)));
-            }
-            (Term::Var(v), Term::Const(c)) | (Term::Const(c), Term::Var(v)) => {
-                var_const_eqs.push((vars.intern(v), *c));
-            }
-            (Term::Const(c1), Term::Const(c2)) => {
-                if c1 != c2 {
-                    consistent = false;
-                }
-            }
+    let mut row = physical.seed.clone();
+    for (&slot, &value) in physical.params.iter().zip(parameter_values) {
+        match row[slot] {
+            Some(existing) if existing != value => return Ok(Vec::new()),
+            _ => row[slot] = Some(value),
         }
     }
-
-    // Seed binding: parameters plus variables equated to constants.
-    let mut seed = Binding::for_table(&vars);
-    for (p, value) in plan.parameters.iter().zip(parameter_values.iter()) {
-        let id = vars.id_of(p).expect("parameter interned above");
-        if !seed.bind(id, *value) {
-            consistent = false;
-        }
-    }
-    for (id, c) in &var_const_eqs {
-        if !seed.bind(*id, *c) {
-            consistent = false;
-        }
-    }
-
-    // Boundness is uniform across the rows of a step, so it is tracked once.
-    let seed_bound: Vec<bool> = (0..vars.len() as VarId)
-        .map(|id| seed.is_bound(id))
-        .collect();
-    let seed_rows: Vec<Binding> = if consistent { vec![seed] } else { Vec::new() };
-    Ok(CompiledPlan {
-        vars,
-        cterms: compiled,
-        var_var_eqs,
-        var_const_eqs,
-        seed_rows,
-        seed_bound,
-    })
+    Ok(row)
 }
 
-/// Runs a slice of plan steps over `rows` (phase 2), extending `bound` and
-/// recording the base facts used in `witness`.
+/// Appends `row` extended by matching `terms` against `values` (a tuple
+/// borrowed from storage) to the slab `next`; appends nothing and returns
+/// `false` on any inconsistency (arity, constant mismatch or conflicting
+/// binding).
+fn extend_row(
+    next: &mut Vec<Option<Value>>,
+    row: &[Option<Value>],
+    terms: &[SlotTerm],
+    values: &[Value],
+) -> bool {
+    if values.len() != terms.len() {
+        return false;
+    }
+    let base = next.len();
+    next.extend_from_slice(row);
+    let extended = &mut next[base..];
+    for (term, &value) in terms.iter().zip(values) {
+        let consistent = match *term {
+            SlotTerm::Const(c) => c == value,
+            SlotTerm::Slot(slot) => match extended[slot] {
+                Some(bound) => bound == value,
+                None => {
+                    extended[slot] = Some(value);
+                    true
+                }
+            },
+        };
+        if !consistent {
+            next.truncate(base);
+            return false;
+        }
+    }
+    true
+}
+
+/// Evaluates a key program over `row` into `key`.
+fn fill_key(key: &mut Vec<Value>, program: &[SlotTerm], row: &[Option<Value>]) {
+    key.clear();
+    key.extend(
+        program
+            .iter()
+            .map(|term| term.value(row).expect("compiled key slots are bound")),
+    );
+}
+
+/// Runs a slice of compiled steps over the slab `rows`, recording the base
+/// facts used in `witness`.
 ///
 /// This is the morsel body: the sequential executor calls it once with every
 /// step, the partitioned executor calls it per worker with the tail of the
-/// step list and a chunk of the first step's output rows.  Rows never
-/// interact, so running chunks on separate workers and concatenating
+/// step list and a range of the first step's output rows.  Rows never
+/// interact, so running ranges on separate workers and concatenating
 /// preserves the sequential row order exactly.
 fn run_steps<A: AccessSource>(
-    plan: &BoundedPlan,
-    compiled: &CompiledPlan,
-    steps: &[PlanStep],
-    mut rows: Vec<Binding>,
-    bound: &mut [bool],
+    physical: &PhysicalPlan,
+    steps: &[PhysicalStep],
+    mut rows: Vec<Option<Value>>,
     adb: &A,
     witness: &mut WitnessLog,
-) -> Result<Vec<Binding>, CoreError> {
-    let schema = adb.db_schema();
-    let vars = &compiled.vars;
-    let var_var_eqs = &compiled.var_var_eqs;
-
+) -> Result<Vec<Option<Value>>, CoreError> {
+    let stride = physical.stride;
+    let mut key: Vec<Value> = Vec::new();
     for step in steps {
         if rows.is_empty() {
             break;
         }
-        // Propagate variable/variable equalities into each row where one side
-        // is known, and fold the resulting boundness into `bound`.
-        for row in rows.iter_mut() {
-            loop {
-                let mut changed = false;
-                for (a, b) in var_var_eqs {
-                    match (row.get(*a), row.get(*b)) {
-                        (Some(va), None) => {
-                            row.set(*b, va);
-                            changed = true;
-                        }
-                        (None, Some(vb)) => {
-                            row.set(*a, vb);
-                            changed = true;
-                        }
-                        _ => {}
-                    }
-                }
-                if !changed {
-                    break;
-                }
+        for row in rows.chunks_exact_mut(stride) {
+            for &(from, to) in &step.copies {
+                row[to] = row[from];
             }
         }
-        loop {
-            let mut changed = false;
-            for (a, b) in var_var_eqs {
-                let (ba, bb) = (bound[*a as usize], bound[*b as usize]);
-                if ba != bb {
-                    bound[*a as usize] = true;
-                    bound[*b as usize] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        let atom_index = step.atom_index();
-        let atom = &plan.query.atoms[atom_index];
-        let cterms = &compiled.cterms[atom_index];
-        let rel_schema = schema.relation(&atom.relation)?;
-        let mut next: Vec<Binding> = Vec::new();
-
-        match step {
-            PlanStep::Fetch {
-                probe_attributes,
-                constraint,
-                ..
+        let mut next: Vec<Option<Value>> = Vec::new();
+        match &step.op {
+            StepOp::Fetch {
+                probe,
+                key: program,
+                terms,
             } => {
-                // Resolve the probe attributes once: constants and bound
-                // slots form the key; positions that became bound later (not
-                // in the recorded list) are checked after the fetch by
-                // `extend_binding`.
-                let mut fetch_attrs: Vec<String> = Vec::new();
-                let mut key_src: Vec<KeySrc> = Vec::new();
-                for a in probe_attributes {
-                    let pos = rel_schema.position_of(a)?;
-                    match cterms[pos] {
-                        CTerm::Const(c) => {
-                            fetch_attrs.push(a.clone());
-                            key_src.push(KeySrc::Const(c));
-                        }
-                        CTerm::Slot(id) => {
-                            if bound[id as usize] {
-                                fetch_attrs.push(a.clone());
-                                key_src.push(KeySrc::Slot(id));
-                            }
-                        }
-                    }
-                }
-                let mut key: Vec<Value> = Vec::with_capacity(key_src.len());
-                for row in &rows {
-                    key.clear();
-                    for src in &key_src {
-                        key.push(match src {
-                            KeySrc::Const(c) => *c,
-                            KeySrc::Slot(id) => row.get(*id).expect("bound slot carries a value"),
-                        });
-                    }
-                    // Fetch through the constraint the *planner* chose: the
-                    // plan is the authority on the access path, so a tied or
-                    // looser constraint in the schema cannot silently turn an
-                    // index-backed step into a bounded scan.  Tuples arrive
-                    // borrowed; only the values of used facts are copied,
-                    // into the witness log.
-                    adb.for_each_via(constraint, &atom.relation, &fetch_attrs, &key, &mut |t| {
-                        if let Some(extended) = extend_binding(row, cterms, t.values()) {
-                            witness.push(atom_index, t.values());
-                            next.push(extended);
+                for row in rows.chunks_exact(stride) {
+                    fill_key(&mut key, program, row);
+                    adb.for_each_via(probe, &key, &mut |t| {
+                        if extend_row(&mut next, row, terms, t.values()) {
+                            witness.push(step.atom, t.values());
                         }
                     })?;
                 }
-                for ct in cterms {
-                    if let CTerm::Slot(id) = ct {
-                        bound[*id as usize] = true;
+            }
+            StepOp::Enumerate {
+                probe,
+                key: program,
+                onto,
+                terms,
+            } => {
+                for row in rows.chunks_exact(stride) {
+                    fill_key(&mut key, program, row);
+                    for proj in adb.fetch_embedded_via(probe, &key, onto)? {
+                        extend_row(&mut next, row, terms, proj.values());
                     }
                 }
             }
-            PlanStep::Enumerate { constraint, .. } => {
-                // Enumerate values for the constraint's output attributes that
-                // are not yet bound.
-                let mut from_attrs: Vec<String> = Vec::new();
-                let mut key_src: Vec<KeySrc> = Vec::new();
-                for a in &constraint.from {
-                    let pos = rel_schema.position_of(a)?;
-                    match cterms[pos] {
-                        CTerm::Const(c) => {
-                            from_attrs.push(a.clone());
-                            key_src.push(KeySrc::Const(c));
-                        }
-                        CTerm::Slot(id) => {
-                            if !bound[id as usize] {
-                                return Err(CoreError::Invariant(format!(
-                                    "enumerate step requires `{}` to be bound",
-                                    vars.name_of(id)
-                                )));
-                            }
-                            from_attrs.push(a.clone());
-                            key_src.push(KeySrc::Slot(id));
-                        }
-                    }
-                }
-                let onto = &constraint.onto;
-                let onto_cterms: Vec<CTerm> = onto
-                    .iter()
-                    .map(|a| rel_schema.position_of(a).map(|pos| cterms[pos]))
-                    .collect::<Result<_, _>>()?;
-                let mut key: Vec<Value> = Vec::with_capacity(key_src.len());
-                for row in &rows {
-                    key.clear();
-                    for src in &key_src {
-                        key.push(match src {
-                            KeySrc::Const(c) => *c,
-                            KeySrc::Slot(id) => row.get(*id).expect("bound slot carries a value"),
-                        });
-                    }
-                    let projections =
-                        adb.fetch_embedded(&atom.relation, &from_attrs, &key, onto)?;
-                    for proj in projections {
-                        // proj is a tuple over `onto` attribute order.
-                        if let Some(extended) = extend_binding(row, &onto_cterms, proj.values()) {
-                            next.push(extended);
-                        }
-                    }
-                }
-                for ct in &onto_cterms {
-                    if let CTerm::Slot(id) = ct {
-                        bound[*id as usize] = true;
-                    }
-                }
-            }
-            PlanStep::Check { .. } => {
-                // The probed values are assembled in one reused buffer: no
-                // tuple is built to test membership.
-                let mut values: Vec<Value> = Vec::with_capacity(cterms.len());
-                for row in &rows {
-                    values.clear();
-                    for ct in cterms {
-                        values.push(match ct {
-                            CTerm::Const(c) => *c,
-                            CTerm::Slot(id) => row.get(*id).ok_or_else(|| {
-                                CoreError::Invariant(
-                                    "membership check reached with unbound variables".into(),
-                                )
-                            })?,
-                        });
-                    }
-                    if adb.contains(&atom.relation, &values)? {
-                        witness.push(atom_index, &values);
-                        next.push(row.clone());
+            StepOp::Check {
+                relation,
+                relation_name,
+                terms,
+            } => {
+                // The probed values are assembled in the reused key buffer:
+                // no tuple is built to test membership.
+                for row in rows.chunks_exact(stride) {
+                    fill_key(&mut key, terms, row);
+                    if adb.contains_at(*relation, relation_name, &key)? {
+                        witness.push(step.atom, &key);
+                        next.extend_from_slice(row);
                     }
                 }
             }
@@ -470,55 +306,41 @@ fn run_steps<A: AccessSource>(
     Ok(rows)
 }
 
-/// Applies the final equality filter and output projection (phase 3) and
-/// assembles the [`BoundedAnswer`].
+/// Applies the final equality filter and output projection to the slab
+/// `rows` and assembles the [`BoundedAnswer`].
 fn finalize(
-    plan: &BoundedPlan,
-    compiled: &CompiledPlan,
-    mut rows: Vec<Binding>,
+    physical: &PhysicalPlan,
+    rows: &[Option<Value>],
     mut witness: WitnessLog,
     accesses: MeterSnapshot,
 ) -> Result<BoundedAnswer, CoreError> {
-    // Final equality filter (covers equalities between variables bound by
-    // different steps).
-    rows.retain(|row| {
-        compiled
+    let mut answers = TupleSet::new();
+    for row in rows.chunks_exact(physical.stride) {
+        // Equalities between variables bound by different steps.
+        let keep = physical
             .var_var_eqs
             .iter()
-            .all(|(a, b)| match (row.get(*a), row.get(*b)) {
-                (Some(va), Some(vb)) => va == vb,
-                _ => false,
-            })
-            && compiled
+            .all(|&(a, b)| matches!((row[a], row[b]), (Some(va), Some(vb)) if va == vb))
+            && physical
                 .var_const_eqs
                 .iter()
-                .all(|(id, c)| row.get(*id) == Some(*c))
-    });
-
-    // Project onto the output variables, deduplicating in derivation order.
-    let outputs = plan.output_variables();
-    let output_ids: Vec<VarId> = outputs
-        .iter()
-        .map(|v| {
-            compiled.vars.id_of(v).ok_or_else(|| {
-                CoreError::Invariant(format!("output variable `{v}` missing from the plan"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let mut answers = TupleSet::new();
-    for row in &rows {
-        let tuple = row.project(&output_ids).ok_or_else(|| {
-            CoreError::Invariant("output variable not bound at the end of the plan".into())
-        })?;
-        answers.insert(tuple);
+                .all(|&(slot, c)| row[slot] == Some(c));
+        if !keep {
+            continue;
+        }
+        // Project onto the output variables, deduplicating in derivation
+        // order.
+        let values = physical
+            .outputs
+            .iter()
+            .map(|&slot| row[slot])
+            .collect::<Option<Vec<Value>>>()
+            .ok_or_else(|| {
+                CoreError::Invariant("output variable not bound at the end of the plan".into())
+            })?;
+        answers.insert(Tuple::new(values));
     }
-
-    witness.relations = plan
-        .query
-        .atoms
-        .iter()
-        .map(|a| a.relation.clone())
-        .collect();
+    witness.relations = Arc::clone(&physical.relations);
     Ok(BoundedAnswer {
         answers: answers.into_vec(),
         accesses,
@@ -543,8 +365,9 @@ fn finalize(
 /// have produced for the same `(plan, values, snapshot)` — same answer
 /// order, same witness, same access snapshot.
 pub struct SharedFetch {
-    compiled: CompiledPlan,
-    rows: Vec<Binding>,
+    /// The surviving rows, `stride` values each.
+    rows: Vec<Option<Value>>,
+    stride: usize,
     witness: WitnessLog,
     accesses: MeterSnapshot,
 }
@@ -558,31 +381,32 @@ impl SharedFetch {
 
     /// Number of partial assignments that survived the plan steps.
     pub fn surviving_rows(&self) -> usize {
-        self.rows.len()
+        self.rows.len() / self.stride
     }
 
     /// Finalises one request's answer from the shared fetched slice —
     /// equality filter, projection, dedup; zero base-data accesses.  `plan`
     /// must be the plan this fetch ran (same `Arc` in the serving layer).
     pub fn finalize_one(&self, plan: &BoundedPlan) -> Result<BoundedAnswer, CoreError> {
+        debug_assert_eq!(plan.physical().stride, self.stride);
         finalize(
-            plan,
-            &self.compiled,
-            self.rows.clone(),
+            plan.physical(),
+            &self.rows,
             self.witness.clone(),
             self.accesses,
         )
     }
 
     /// Finalises the last answer, consuming the fetch (the single-request
-    /// path: no clone of rows or witness).
+    /// path: no clone of the witness).
     pub fn into_answer(self, plan: &BoundedPlan) -> Result<BoundedAnswer, CoreError> {
-        finalize(plan, &self.compiled, self.rows, self.witness, self.accesses)
+        debug_assert_eq!(plan.physical().stride, self.stride);
+        finalize(plan.physical(), &self.rows, self.witness, self.accesses)
     }
 }
 
-/// Runs the fetch phase of `plan` — compile, seed, every plan step — over
-/// `adb` and returns the [`SharedFetch`] requests finalise answers from.
+/// Runs the fetch phase of `plan` — seed, every plan step — over `adb` and
+/// returns the [`SharedFetch`] requests finalise answers from.
 ///
 /// `parameter_values` must supply one value per plan parameter, in order.
 pub fn fetch_bounded<A: AccessSource>(
@@ -590,23 +414,16 @@ pub fn fetch_bounded<A: AccessSource>(
     parameter_values: &[Value],
     adb: &A,
 ) -> Result<SharedFetch, CoreError> {
+    let physical = plan.physical();
+    check_source(physical, adb)?;
     let before = adb.meter_snapshot();
-    let compiled = compile(plan, parameter_values)?;
-    let mut bound = compiled.seed_bound.clone();
     let mut witness = WitnessLog::default();
-    let rows = run_steps(
-        plan,
-        &compiled,
-        &plan.steps,
-        compiled.seed_rows.clone(),
-        &mut bound,
-        adb,
-        &mut witness,
-    )?;
+    let seed = seed_rows(physical, parameter_values)?;
+    let rows = run_steps(physical, &physical.steps, seed, adb, &mut witness)?;
     let accesses = adb.meter_snapshot().since(&before);
     Ok(SharedFetch {
-        compiled,
         rows,
+        stride: physical.stride,
         witness,
         accesses,
     })
@@ -631,9 +448,9 @@ fn nanos_since(start: std::time::Instant) -> u64 {
 /// [`execute_bounded`] with per-phase timing reported to `sink`.
 ///
 /// Identical result to [`execute_bounded`]; additionally reports the
-/// duration of the fetch phase (compile + seed + plan steps) and of the
-/// finalize pass (equality filter + projection + dedup) as
-/// [`ExecPhase::Fetch`] / [`ExecPhase::Finalize`].
+/// duration of the fetch phase (seed + plan steps) and of the finalize pass
+/// (equality filter + projection + dedup) as [`ExecPhase::Fetch`] /
+/// [`ExecPhase::Finalize`].
 pub fn execute_bounded_traced<A: AccessSource>(
     plan: &BoundedPlan,
     parameter_values: &[Value],
@@ -651,12 +468,12 @@ pub fn execute_bounded_traced<A: AccessSource>(
 
 /// Executes `plan` morsel-style across `workers` threads.
 ///
-/// The first step runs once (its probe key is the seed binding — the
-/// parameters); the surviving partial bindings are split into `workers`
-/// contiguous chunks, and each worker runs the remaining steps over its
-/// chunk against its own [`AccessSource`] obtained from `source` — in the
-/// serving layer that is a [`si_access::SnapshotAccess::fork`] over the same
-/// pinned snapshot with a fresh per-worker meter.
+/// The first step runs once (its probe key is the seed row — the
+/// parameters); the surviving rows are split into `workers` contiguous slab
+/// ranges, and each worker runs the remaining steps over its range against
+/// its own [`AccessSource`] obtained from `source` — in the serving layer
+/// that is a [`si_access::ShardedAccess::fork`] over the same pinned view
+/// with a fresh per-worker meter.
 ///
 /// Chunking preserves row order and rows never interact across steps, so
 /// the merged answers, witness and access counts are **identical** to
@@ -700,80 +517,83 @@ fn partitioned_impl<A, F>(
     parameter_values: &[Value],
     source: F,
     workers: usize,
-    mut sink: Option<&mut dyn TraceSink>,
+    sink: Option<&mut dyn TraceSink>,
 ) -> Result<BoundedAnswer, CoreError>
 where
     A: AccessSource,
     F: Fn() -> A + Sync,
 {
     let main = source();
-    if workers <= 1 || plan.steps.len() < 2 {
+    let physical = plan.physical();
+    if workers <= 1 || physical.steps.len() < 2 {
         return match sink {
             Some(sink) => execute_bounded_traced(plan, parameter_values, &main, sink),
             None => execute_bounded(plan, parameter_values, &main),
         };
     }
+    check_source(physical, &main)?;
     let fetch_start = std::time::Instant::now();
     let before = main.meter_snapshot();
-    let compiled = compile(plan, parameter_values)?;
-    let mut bound = compiled.seed_bound.clone();
     let mut witness = WitnessLog::default();
-    let (first, rest) = plan.steps.split_first().expect("checked: >= 2 steps");
+    let (first, rest) = physical.steps.split_first().expect("checked: >= 2 steps");
+    let seed = seed_rows(physical, parameter_values)?;
     let rows = run_steps(
-        plan,
-        &compiled,
+        physical,
         std::slice::from_ref(first),
-        compiled.seed_rows.clone(),
-        &mut bound,
+        seed,
         &main,
         &mut witness,
     )?;
+    let stride = physical.stride;
+    let row_count = rows.len() / stride;
 
-    if rows.len() < 2 {
-        let rows = run_steps(plan, &compiled, rest, rows, &mut bound, &main, &mut witness)?;
-        let accesses = main.meter_snapshot().since(&before);
+    let finish = |rows: &[Option<Value>],
+                  witness: WitnessLog,
+                  accesses: MeterSnapshot,
+                  mut sink: Option<&mut dyn TraceSink>| {
         if let Some(sink) = sink.as_deref_mut() {
             sink.exec_phase(ExecPhase::Fetch, nanos_since(fetch_start));
         }
         let finalize_start = std::time::Instant::now();
-        let answer = finalize(plan, &compiled, rows, witness, accesses);
+        let answer = finalize(physical, rows, witness, accesses);
         if let Some(sink) = sink {
             sink.exec_phase(ExecPhase::Finalize, nanos_since(finalize_start));
         }
-        return answer;
+        answer
+    };
+    if row_count < 2 {
+        let rows = run_steps(physical, rest, rows, &main, &mut witness)?;
+        let accesses = main.meter_snapshot().since(&before);
+        return finish(&rows, witness, accesses, sink);
     }
     let mut accesses = main.meter_snapshot().since(&before);
 
-    // Contiguous chunks keep the sequential row order when concatenated.
-    // Workers record witness facts in one log *per step* so the merge can
-    // interleave them step-major (all workers' step-2 facts, then step-3,
-    // …) — the order the sequential executor produces.
-    type WorkerResult = Result<(Vec<Binding>, Vec<WitnessLog>, MeterSnapshot), CoreError>;
-    let chunk_size = rows.len().div_ceil(workers);
+    // Contiguous slab ranges keep the sequential row order when
+    // concatenated.  Workers record witness facts in one log *per step* so
+    // the merge can interleave them step-major (all workers' step-2 facts,
+    // then step-3, …) — the order the sequential executor produces.
+    type WorkerResult = Result<(Vec<Option<Value>>, Vec<WitnessLog>, MeterSnapshot), CoreError>;
+    let chunk_len = row_count.div_ceil(workers) * stride;
     let worker_results: Vec<WorkerResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = rows
-            .chunks(chunk_size)
+            .chunks(chunk_len)
             .map(|chunk| {
-                let compiled = &compiled;
                 let source = &source;
-                let bound_after_first = bound.clone();
                 scope.spawn(move || {
                     let src = source();
+                    check_source(physical, &src)?;
                     let before = src.meter_snapshot();
-                    let mut bound = bound_after_first;
                     let mut chunk_rows = chunk.to_vec();
                     let mut witness_per_step: Vec<WitnessLog> = Vec::with_capacity(rest.len());
                     // One run_steps call per step: identical semantics to one
-                    // call with the whole slice (rows and boundness thread
-                    // through), but the witness stays step-separable.
+                    // call with the whole slice, but the witness stays
+                    // step-separable.
                     for step in rest {
                         let mut witness = WitnessLog::default();
                         chunk_rows = run_steps(
-                            plan,
-                            compiled,
+                            physical,
                             std::slice::from_ref(step),
                             chunk_rows,
-                            &mut bound,
                             &src,
                             &mut witness,
                         )?;
@@ -793,7 +613,7 @@ where
             .collect()
     });
 
-    let mut all_rows: Vec<Binding> = Vec::new();
+    let mut all_rows: Vec<Option<Value>> = Vec::new();
     let mut witness_by_step: Vec<Vec<WitnessLog>> = Vec::new();
     for result in worker_results {
         let (rows_i, witness_i, accesses_i) = result?;
@@ -809,15 +629,7 @@ where
             }
         }
     }
-    if let Some(sink) = sink.as_deref_mut() {
-        sink.exec_phase(ExecPhase::Fetch, nanos_since(fetch_start));
-    }
-    let finalize_start = std::time::Instant::now();
-    let answer = finalize(plan, &compiled, all_rows, witness, accesses);
-    if let Some(sink) = sink {
-        sink.exec_phase(ExecPhase::Finalize, nanos_since(finalize_start));
-    }
-    answer
+    finish(&all_rows, witness, accesses, sink)
 }
 
 #[cfg(test)]
@@ -1112,7 +924,10 @@ mod tests {
         )
         .unwrap();
         let plan = planner.plan(&q2, &["p".into()]).unwrap();
-        assert!(plan.steps.len() >= 3, "Q2 must exercise a multi-step tail");
+        assert!(
+            plan.steps().len() >= 3,
+            "Q2 must exercise a multi-step tail"
+        );
 
         let mut db = Database::empty(schema);
         for i in 2..120i64 {
@@ -1329,6 +1144,128 @@ mod tests {
         let one = fetch.finalize_one(&plan).unwrap();
         assert!(one.answers.is_empty());
         assert_eq!(one.witness().size(), 0);
+    }
+
+    #[test]
+    fn variable_free_queries_run_on_every_execution_path() {
+        use si_data::{PartitionMap, ShardedSnapshotStore, SnapshotStore};
+        use std::sync::Arc;
+        let schema = social_schema();
+        let access = facebook_access_schema(5000);
+        let planner = BoundedPlanner::new(&schema, &access);
+        let mut db = Database::empty(schema.clone());
+        db.insert_all(
+            "person",
+            vec![tuple![1, "ann", "NYC"], tuple![2, "bob", "NYC"]],
+        )
+        .unwrap();
+        db.insert("friend", tuple![1, 2]).unwrap();
+        for (relation, attrs) in access.required_indexes() {
+            if !attrs.is_empty() {
+                db.declare_index(&relation, &attrs).unwrap();
+            }
+        }
+        let store = SnapshotStore::new(db.clone());
+        let partition = PartitionMap::new()
+            .with("person", "id")
+            .with("friend", "id1");
+        let sharded: Vec<_> = [1usize, 3]
+            .into_iter()
+            .map(|n| ShardedSnapshotStore::new(db.clone(), partition.clone(), n).unwrap())
+            .collect();
+        let owned = AccessIndexedDatabase::new(db, access.clone()).unwrap();
+        let access = Arc::new(access.clone());
+
+        // (query, answers, tuples fetched, witness size)
+        let cases: [(&str, Vec<Tuple>, u64, usize); 4] = [
+            ("B() :- friend(1, 2)", vec![tuple![]], 1, 1),
+            ("B() :- friend(1, 3)", vec![], 0, 0),
+            (
+                r#"B() :- friend(1, x), person(x, n, "NYC")"#,
+                vec![tuple![]],
+                2,
+                2,
+            ),
+            ("B() :- friend(1, 2), 1 = 2", vec![], 0, 0),
+        ];
+        for (text, answers, fetched, witness) in cases {
+            let plan = planner.plan(&parse_cq(text).unwrap(), &[]).unwrap();
+            let reference = execute_bounded(&plan, &[], &owned).unwrap();
+            assert_eq!(reference.answers, answers, "{text}");
+            assert_eq!(reference.accesses.tuples_fetched, fetched, "{text}");
+            assert_eq!(reference.witness().size(), witness, "{text}");
+
+            let snap = store.pin();
+            let make = || {
+                si_access::SnapshotAccess::<si_data::AccessMeter>::new(snap.clone(), access.clone())
+            };
+            let mut runs = vec![("sequential snapshot", execute_bounded(&plan, &[], &make()))];
+            for workers in [2usize, 4] {
+                runs.push((
+                    "partitioned",
+                    execute_bounded_partitioned(&plan, &[], make, workers),
+                ));
+            }
+            let shared = fetch_bounded(&plan, &[], &make()).unwrap();
+            runs.push(("finalize_one", shared.finalize_one(&plan)));
+            for store in &sharded {
+                let view = store.pin();
+                let source = si_access::ShardedAccess::<si_data::AccessMeter>::new(
+                    view.clone(),
+                    access.clone(),
+                );
+                runs.push(("sharded", execute_bounded(&plan, &[], &source)));
+            }
+            for (path, run) in runs {
+                assert_eq!(run.unwrap(), reference, "{text} on the {path} path");
+            }
+        }
+    }
+
+    #[test]
+    fn a_plan_refuses_a_source_whose_schema_lays_relations_out_differently() {
+        use si_data::schema::RelationSchema;
+        use si_data::{DatabaseSchema, PartitionMap, ShardedSnapshotStore, SnapshotStore};
+        use std::sync::Arc;
+        let schema = social_schema();
+        let access = facebook_access_schema(5000);
+        let planner = BoundedPlanner::new(&schema, &access);
+        let q1 = parse_cq(r#"Q1(p, name) :- friend(p, id), person(id, name, "NYC")"#).unwrap();
+        let plan = planner.plan(&q1, &["p".into()]).unwrap();
+
+        // The same relations plus `enemy`, which sorts first and so shifts
+        // every relation id the plan resolved.
+        let mut shifted = DatabaseSchema::new();
+        shifted
+            .add_relation(RelationSchema::new("enemy", &["id1", "id2"]))
+            .unwrap();
+        for rel in schema.relations() {
+            shifted.add_relation(rel.clone()).unwrap();
+        }
+        let mut db = Database::empty(shifted);
+        for rel in social_db().relations() {
+            db.insert_all(rel.name(), rel.iter().cloned()).unwrap();
+        }
+        db.insert_all("enemy", vec![tuple![1, 3], tuple![3, 1]])
+            .unwrap();
+        let access = Arc::new(access.clone());
+
+        let snap = SnapshotStore::new(db.clone()).pin();
+        let make =
+            || si_access::SnapshotAccess::<si_data::AccessMeter>::new(snap.clone(), access.clone());
+        let partition = PartitionMap::new().with("friend", "id1");
+        let view = ShardedSnapshotStore::new(db, partition, 2).unwrap().pin();
+        let sharded = si_access::ShardedAccess::<si_data::AccessMeter>::new(view, access.clone());
+        let refused = |result: Result<BoundedAnswer, CoreError>| matches!(result, Err(CoreError::Invariant(msg)) if msg.contains("friend"));
+        assert!(refused(execute_bounded(&plan, &[Value::int(1)], &make())));
+        assert!(refused(execute_bounded(&plan, &[Value::int(1)], &sharded)));
+        assert!(refused(execute_bounded_partitioned(
+            &plan,
+            &[Value::int(1)],
+            make,
+            4
+        )));
+        assert!(fetch_bounded(&plan, &[Value::int(1)], &make()).is_err());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 pub mod costplan;
 pub mod exec;
 pub mod naive;
+mod physical;
 pub mod plan;
 
 pub use costplan::{CostBasedPlanner, CostedPlan};

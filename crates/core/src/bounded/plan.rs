@@ -22,6 +22,7 @@
 //! the atoms that no constraint can cover
 //! ([`CoreError::NotBoundedPlannable`]).
 
+use crate::bounded::physical::{compile, PhysicalPlan};
 use crate::error::CoreError;
 use si_access::{AccessConstraint, AccessSchema, EmbeddedConstraint, StaticCost};
 use si_data::DatabaseSchema;
@@ -108,34 +109,60 @@ impl fmt::Display for PlanStep {
 }
 
 /// A bounded plan for a conjunctive query with fixed parameter variables.
+///
+/// Built only by the planners, which also compile it into its physical form
+/// (row slots, resolved probes, key programs; see `bounded::physical`).  The
+/// logical parts are read-only so the compiled form cannot go stale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundedPlan {
-    /// The query after substituting nothing — parameters stay symbolic; they
-    /// are bound at execution time.
-    pub query: ConjunctiveQuery,
-    /// The parameter variables whose values must be supplied to execute.
-    pub parameters: Vec<Var>,
-    /// The ordered access steps.
-    pub steps: Vec<PlanStep>,
+    query: ConjunctiveQuery,
+    parameters: Vec<Var>,
+    steps: Vec<PlanStep>,
     /// Data-independent worst-case cost.
     cost: StaticCost,
+    physical: PhysicalPlan,
 }
 
 impl BoundedPlan {
-    /// Assembles a plan from its parts (crate-internal: planners are the only
-    /// producers of well-formed step sequences).
+    /// Assembles a plan from its parts and compiles it against the schema
+    /// and access schema it was planned under (crate-internal: planners are
+    /// the only producers of well-formed step sequences).
     pub(crate) fn from_parts(
         query: ConjunctiveQuery,
         parameters: Vec<Var>,
         steps: Vec<PlanStep>,
         cost: StaticCost,
-    ) -> Self {
-        BoundedPlan {
+        schema: &DatabaseSchema,
+        access: &AccessSchema,
+    ) -> Result<Self, CoreError> {
+        let physical = compile(&query, &parameters, &steps, schema, access)?;
+        Ok(BoundedPlan {
             query,
             parameters,
             steps,
             cost,
-        }
+            physical,
+        })
+    }
+
+    /// The query, with its parameters left symbolic: they are bound at
+    /// execution time.
+    pub fn query(&self) -> &ConjunctiveQuery {
+        &self.query
+    }
+
+    /// The parameter variables whose values must be supplied to execute.
+    pub fn parameters(&self) -> &[Var] {
+        &self.parameters
+    }
+
+    /// The ordered access steps.
+    pub fn steps(&self) -> &[PlanStep] {
+        &self.steps
+    }
+
+    pub(crate) fn physical(&self) -> &PhysicalPlan {
+        &self.physical
     }
 
     /// The data-independent worst-case cost of executing the plan once.
@@ -272,12 +299,14 @@ impl<'a> BoundedPlanner<'a> {
             steps.push(step);
         }
 
-        Ok(BoundedPlan {
-            query: query.clone(),
-            parameters: parameters.to_vec(),
+        BoundedPlan::from_parts(
+            query.clone(),
+            parameters.to_vec(),
             steps,
             cost,
-        })
+            self.schema,
+            self.access,
+        )
     }
 
     /// Finds the cheapest applicable step, preferring consuming steps.
@@ -400,9 +429,9 @@ mod tests {
         let planner = BoundedPlanner::new(&schema, &access);
         let plan = planner.plan(&q1(), &["p".into()]).unwrap();
         // Two steps: fetch friends of p, then probe person by id.
-        assert_eq!(plan.steps.len(), 2);
-        assert!(matches!(plan.steps[0], PlanStep::Fetch { .. }));
-        assert!(matches!(plan.steps[1], PlanStep::Fetch { .. }));
+        assert_eq!(plan.steps().len(), 2);
+        assert!(matches!(plan.steps()[0], PlanStep::Fetch { .. }));
+        assert!(matches!(plan.steps()[1], PlanStep::Fetch { .. }));
         // Worst case: 5000 friend tuples + 5000 person probes of 1 tuple each
         // = 10000 tuples, matching Example 1.1(a)'s M ≥ 10000.
         assert_eq!(plan.static_cost().max_tuples, 10_000);
@@ -463,11 +492,11 @@ mod tests {
         // The plan uses at least one Enumerate step (the 366-day bound) and a
         // membership check for the visit atom itself.
         assert!(plan
-            .steps
+            .steps()
             .iter()
             .any(|s| matches!(s, PlanStep::Enumerate { .. })));
         assert!(plan
-            .steps
+            .steps()
             .iter()
             .any(|s| matches!(s, PlanStep::Check { .. })));
         // Still not plannable with p alone.

@@ -37,8 +37,9 @@
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::RwLock;
+use std::sync::OnceLock;
 
 /// A hash index over a fixed list of key positions of a relation.
 ///
@@ -150,21 +151,25 @@ impl HashIndex {
 /// changes applied through [`crate::Delta`] updates, which reach the pool via
 /// the relation's insert/remove paths.
 ///
-/// Lazy construction happens behind a shared reference (probes take `&self`),
-/// so the built map sits behind an [`RwLock`]; steady-state probes only take
-/// the read lock, and [`IndexPool::probe`] hands the matching bucket to a
-/// closure under it instead of copying it out.
+/// Lazy construction happens behind a shared reference (probes take `&self`):
+/// each declared index is a [`OnceLock`] cell, so a probe is a map lookup
+/// plus [`OnceLock::get_or_init`] and takes no lock once the index is built.
+/// Concurrent first probes build the index exactly once.  The set of
+/// declared indexes only changes through `&mut self`.
 #[derive(Debug, Default)]
 pub struct IndexPool {
-    declared: BTreeSet<Vec<usize>>,
-    built: RwLock<BTreeMap<Vec<usize>, HashIndex>>,
+    indexes: BTreeMap<Vec<usize>, OnceLock<HashIndex>>,
+    /// Indexes built by probes of this pool (test instrumentation).
+    #[cfg(test)]
+    lazy_builds: std::sync::atomic::AtomicUsize,
 }
 
 impl Clone for IndexPool {
     fn clone(&self) -> Self {
         IndexPool {
-            declared: self.declared.clone(),
-            built: RwLock::new(self.read_built().clone()),
+            indexes: self.indexes.clone(),
+            #[cfg(test)]
+            lazy_builds: Default::default(),
         }
     }
 }
@@ -175,69 +180,56 @@ impl IndexPool {
         IndexPool::default()
     }
 
-    fn read_built(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<Vec<usize>, HashIndex>> {
-        self.built.read().expect("index pool lock poisoned")
-    }
-
     /// Declares an index on `positions` without building it.  The positions
     /// are normalised (sorted, deduplicated).  Returns `true` when the
     /// declaration was new.
     pub fn declare(&mut self, mut positions: Vec<usize>) -> bool {
         positions.sort_unstable();
         positions.dedup();
-        if self.read_built().contains_key(&positions) {
-            return false;
+        match self.indexes.entry(positions) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(OnceLock::new());
+                true
+            }
         }
-        self.declared.insert(positions)
     }
 
     /// True iff an index on exactly `positions` was declared or built.
     pub fn is_declared(&self, positions: &[usize]) -> bool {
-        let key = normalise(positions);
-        self.declared.contains(&*key) || self.read_built().contains_key(&*key)
+        self.indexes.contains_key(&*normalise(positions))
     }
 
     /// True iff the index on exactly `positions` has been materialised.
     pub fn is_built(&self, positions: &[usize]) -> bool {
-        self.read_built().contains_key(&*normalise(positions))
+        self.built(positions).is_some()
+    }
+
+    fn built(&self, positions: &[usize]) -> Option<&HashIndex> {
+        self.indexes.get(&*normalise(positions))?.get()
     }
 
     /// The normalised key positions of every declared-or-built index — what
     /// a hash-partition split re-declares on each shard so access-schema
     /// promises keep holding shard-locally.
     pub fn declared_positions(&self) -> Vec<Vec<usize>> {
-        let mut keys: Vec<Vec<usize>> = self
-            .declared
-            .iter()
-            .cloned()
-            .chain(self.read_built().keys().cloned())
-            .collect();
-        keys.sort();
-        keys.dedup();
-        keys
+        self.indexes.keys().cloned().collect()
     }
 
     /// Builds the index on `positions` now (declaring it if necessary).
     pub fn build_now(&mut self, positions: Vec<usize>, tuples: &[Tuple]) {
         let key = normalise(&positions).into_owned();
-        self.declared.remove(&key);
-        let built = self.built.get_mut().expect("index pool lock poisoned");
-        built
-            .entry(key.clone())
-            .or_insert_with(|| HashIndex::build(key, tuples));
+        let cell = self.indexes.entry(key.clone()).or_default();
+        cell.get_or_init(|| HashIndex::build(key, tuples));
     }
 
     /// Probes the index on exactly `positions` with `key` and runs `f` over
-    /// the matching tuple positions, borrowed from the bucket while the
-    /// pool's read guard is held.  A declared-but-unbuilt index is
-    /// materialised first, under the write lock, which is released before
-    /// the read guard is taken — so `f` never runs under the write lock.
-    /// `key` must be aligned with the *normalised* (sorted, deduplicated)
-    /// positions.  Returns `f`'s result, or `None` when no index on
-    /// `positions` is declared.
-    ///
-    /// `f` must not probe this pool again: a reader waiting on a queued
-    /// writer can deadlock.  Probing any *other* relation's pool is fine.
+    /// the matching tuple positions, borrowed from the bucket.  A
+    /// declared-but-unbuilt index is materialised first; concurrent first
+    /// probes build it once, and `f` runs with no lock held.  `key` must be
+    /// aligned with the *normalised* (sorted, deduplicated) positions.
+    /// Returns `f`'s result, or `None` when no index on `positions` is
+    /// declared.
     pub fn probe<R>(
         &self,
         positions: &[usize],
@@ -246,21 +238,12 @@ impl IndexPool {
         f: impl FnOnce(&[usize]) -> R,
     ) -> Option<R> {
         let norm = normalise(positions);
-        if let Some(index) = self.read_built().get(&*norm) {
-            return Some(f(index.lookup(key)));
-        }
-        if !self.declared.contains(&*norm) {
-            return None;
-        }
-        // First probe of a declared index: materialise it under the write
-        // lock, then answer from it under the read lock.
-        self.built
-            .write()
-            .expect("index pool lock poisoned")
-            .entry(norm.to_vec())
-            .or_insert_with(|| HashIndex::build(norm.to_vec(), tuples));
-        let built = self.read_built();
-        let index = built.get(&*norm).expect("built indexes are never dropped");
+        let index = self.indexes.get(&*norm)?.get_or_init(|| {
+            #[cfg(test)]
+            self.lazy_builds
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            HashIndex::build(norm.to_vec(), tuples)
+        });
         Some(f(index.lookup(key)))
     }
 
@@ -281,17 +264,12 @@ impl IndexPool {
     /// `positions ∖ result` equalities as a post-filter.
     pub fn best_subset(&self, positions: &[usize]) -> Option<Vec<usize>> {
         let target: BTreeSet<usize> = positions.iter().copied().collect();
-        let built = self.read_built();
-        let candidates = self
-            .declared
+        self.indexes
             .iter()
-            .map(|k| (k, false))
-            .chain(built.keys().map(|k| (k, true)));
-        candidates
             .filter(|(k, _)| !k.is_empty() && k.iter().all(|p| target.contains(p)))
-            .max_by(|(a, a_built), (b, b_built)| {
-                (a.len(), *a_built)
-                    .cmp(&(b.len(), *b_built))
+            .max_by(|(a, a_cell), (b, b_cell)| {
+                (a.len(), a_cell.get().is_some())
+                    .cmp(&(b.len(), b_cell.get().is_some()))
                     // On ties, prefer the lexicographically smaller key (the
                     // smaller key must compare greater to win `max_by`).
                     .then_with(|| b.cmp(a))
@@ -301,8 +279,7 @@ impl IndexPool {
 
     /// Maintains every built index after `tuple` was appended at `position`.
     pub fn tuple_inserted(&mut self, position: usize, tuple: &Tuple) {
-        let built = self.built.get_mut().expect("index pool lock poisoned");
-        for index in built.values_mut() {
+        for index in self.indexes.values_mut().filter_map(OnceLock::get_mut) {
             index.insert(position, tuple);
         }
     }
@@ -310,28 +287,24 @@ impl IndexPool {
     /// Maintains every built index after `tuple` was removed from `position`
     /// of an order-preserving store (later positions shift down by one).
     pub fn tuple_removed(&mut self, position: usize, tuple: &Tuple) {
-        let built = self.built.get_mut().expect("index pool lock poisoned");
-        for index in built.values_mut() {
+        for index in self.indexes.values_mut().filter_map(OnceLock::get_mut) {
             index.remove_shifted(position, tuple);
         }
     }
 
     /// Runs `f` over the built index on `positions`, if there is one.
-    ///
-    /// The closure indirection keeps the [`RwLock`] read guard from escaping;
-    /// use [`IndexPool::lookup`] for plain probes.
     pub fn with_built<R>(&self, positions: &[usize], f: impl FnOnce(&HashIndex) -> R) -> Option<R> {
-        self.read_built().get(&*normalise(positions)).map(f)
+        self.built(positions).map(f)
     }
 
-    /// Number of declared-but-unbuilt plus built indexes.
+    /// Number of declared indexes, built or not.
     pub fn len(&self) -> usize {
-        self.declared.len() + self.read_built().len()
+        self.indexes.len()
     }
 
     /// True iff nothing is declared or built.
     pub fn is_empty(&self) -> bool {
-        self.declared.is_empty() && self.read_built().is_empty()
+        self.indexes.is_empty()
     }
 }
 
@@ -456,8 +429,6 @@ mod tests {
         let mut pool = IndexPool::new();
         pool.declare(vec![0]);
         let hits = pool.probe(&[0], &[Value::int(1)], &tuples, |hits| {
-            // Only the read guard is held here, so another reader gets in.
-            assert!(pool.built.try_read().is_ok());
             hits.iter().map(|&p| tuples[p][1]).collect::<Vec<_>>()
         });
         assert_eq!(
@@ -476,6 +447,53 @@ mod tests {
             pool.probe(&[1, 0, 1], &key, &tuples, <[usize]>::to_vec),
             Some(vec![1])
         );
+    }
+
+    #[test]
+    fn concurrent_first_probes_build_a_declared_index_once() {
+        let tuples = friend_tuples();
+        let mut pool = IndexPool::new();
+        pool.declare(vec![0]);
+        let start = std::sync::Barrier::new(2);
+        let hits: Vec<Option<Vec<usize>>> = std::thread::scope(|s| {
+            let probes: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        pool.lookup(&[0], &[Value::int(1)], &tuples)
+                    })
+                })
+                .collect();
+            probes.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(hits, vec![Some(vec![0, 1, 4]), Some(vec![0, 1, 4])]);
+        assert!(pool.is_built(&[0]));
+        assert_eq!(
+            pool.lazy_builds.load(std::sync::atomic::Ordering::Relaxed),
+            1
+        );
+    }
+
+    #[test]
+    fn a_probe_callback_may_probe_the_same_pool_again() {
+        let tuples = friend_tuples();
+        let mut pool = IndexPool::new();
+        pool.declare(vec![0]);
+        pool.declare(vec![1]);
+        // For every friend of 1, the friends of that friend: the inner probe
+        // runs inside the outer one's callback, on the same pool (one of them
+        // building its index on the way).
+        let nested = pool.probe(&[0], &[Value::int(1)], &tuples, |hits| {
+            hits.iter()
+                .map(|&p| {
+                    let friend = tuples[p][1];
+                    pool.lookup(&[0], &[friend], &tuples).unwrap().len()
+                        + pool.lookup(&[1], &[friend], &tuples).unwrap().len()
+                })
+                .collect::<Vec<_>>()
+        });
+        // 2 → {3} and ← {1}; 3 → {1} and ← {1, 2}; 4 → {} and ← {1}.
+        assert_eq!(nested, Some(vec![2, 3, 1]));
     }
 
     #[test]

@@ -205,9 +205,8 @@ impl Relation {
     /// 3. a full scan, only when no index can serve any part of the probe.
     ///
     /// A `key` that is not aligned with `positions` (different lengths)
-    /// matches nothing.  `f` runs while the index pool's read guard is held,
-    /// so it must not probe this relation again (see [`IndexPool::probe`]);
-    /// probing other relations is fine.
+    /// matches nothing.  `f` runs with no lock held (see
+    /// [`IndexPool::probe`]).
     pub fn for_each_eq(
         &self,
         positions: &[usize],

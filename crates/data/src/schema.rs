@@ -6,7 +6,6 @@
 
 use crate::error::DataError;
 use crate::Result;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// The signature of a single relation: a name plus an ordered attribute list.
@@ -77,9 +76,15 @@ impl fmt::Display for RelationSchema {
 }
 
 /// A database schema: a collection of relation schemas keyed by name.
+///
+/// Relations are kept in name order, and a relation's position in that order
+/// is its *id* ([`DatabaseSchema::relation_id`]): storage that lays its
+/// relations out in the same order (a [`crate::DatabaseSnapshot`]) can be
+/// probed by id with no name lookup.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DatabaseSchema {
-    relations: BTreeMap<String, RelationSchema>,
+    /// Sorted by name, names unique.
+    relations: Vec<RelationSchema>,
 }
 
 impl DatabaseSchema {
@@ -101,33 +106,48 @@ impl DatabaseSchema {
 
     /// Adds a relation schema, failing on duplicates.
     pub fn add_relation(&mut self, relation: RelationSchema) -> Result<()> {
-        if self.relations.contains_key(relation.name()) {
-            return Err(DataError::DuplicateRelation(relation.name().to_owned()));
+        match self.search(relation.name()) {
+            Ok(_) => Err(DataError::DuplicateRelation(relation.name().to_owned())),
+            Err(at) => {
+                self.relations.insert(at, relation);
+                Ok(())
+            }
         }
-        self.relations.insert(relation.name().to_owned(), relation);
-        Ok(())
+    }
+
+    fn search(&self, name: &str) -> std::result::Result<usize, usize> {
+        self.relations.binary_search_by(|r| r.name().cmp(name))
     }
 
     /// Looks up a relation schema by name.
     pub fn relation(&self, name: &str) -> Result<&RelationSchema> {
-        self.relations
-            .get(name)
-            .ok_or_else(|| DataError::UnknownRelation(name.to_owned()))
+        self.relation_id(name).map(|id| &self.relations[id])
+    }
+
+    /// The id of relation `name`: its position in name order.
+    pub fn relation_id(&self, name: &str) -> Result<usize> {
+        self.search(name)
+            .map_err(|_| DataError::UnknownRelation(name.to_owned()))
+    }
+
+    /// The relation schema with id `id`, if there is one.
+    pub fn relation_at(&self, id: usize) -> Option<&RelationSchema> {
+        self.relations.get(id)
     }
 
     /// True iff the schema declares `name`.
     pub fn has_relation(&self, name: &str) -> bool {
-        self.relations.contains_key(name)
+        self.search(name).is_ok()
     }
 
-    /// Iterates over all relation schemas in name order.
+    /// Iterates over all relation schemas in name (id) order.
     pub fn relations(&self) -> impl Iterator<Item = &RelationSchema> {
-        self.relations.values()
+        self.relations.iter()
     }
 
     /// Relation names in lexicographic order.
     pub fn relation_names(&self) -> Vec<String> {
-        self.relations.keys().cloned().collect()
+        self.relations.iter().map(|r| r.name.clone()).collect()
     }
 
     /// Number of relations declared by the schema.
@@ -143,7 +163,7 @@ impl DatabaseSchema {
 
 impl fmt::Display for DatabaseSchema {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, r) in self.relations.values().enumerate() {
+        for (i, r) in self.relations.iter().enumerate() {
             if i > 0 {
                 writeln!(f)?;
             }
@@ -227,6 +247,11 @@ mod tests {
             vec!["friend", "person", "restr", "visit"]
         );
         assert_eq!(s.relations().count(), 4);
+        // Ids are positions in name order, whatever the declaration order.
+        assert_eq!(s.relation_id("person").unwrap(), 1);
+        assert_eq!(s.relation_at(1).unwrap().name(), "person");
+        assert!(s.relation_at(4).is_none());
+        assert!(s.relation_id("enemy").is_err());
     }
 
     #[test]

@@ -170,13 +170,8 @@ impl PartitionMap {
                 "a partition router needs at least one shard".into(),
             ));
         }
-        let positions = self.resolve(schema)?;
         Ok(PartitionRouter {
-            state: PartitionState {
-                map: self.clone(),
-                positions,
-                shards,
-            },
+            state: PartitionState::new(self.clone(), schema, shards)?,
         })
     }
 }
@@ -210,7 +205,7 @@ impl PartitionRouter {
 
     /// The shard a partition-column value of `relation` routes to, if the
     /// relation has a declared partition column (mirror of
-    /// [`ShardedSnapshotView::route_value`]).
+    /// [`ShardedSnapshotView::route_partition_value`]).
     pub fn route_value(&self, relation: &str, value: Value) -> Option<usize> {
         self.state.route_value(relation, value)
     }
@@ -228,18 +223,47 @@ struct PartitionState {
     map: PartitionMap,
     /// Partition column position per relation (only declared relations).
     positions: BTreeMap<String, usize>,
+    /// The same positions indexed by relation id.
+    positions_by_id: Vec<Option<usize>>,
     shards: usize,
 }
 
 impl PartitionState {
+    fn new(map: PartitionMap, schema: &DatabaseSchema, shards: usize) -> Result<Self> {
+        let positions = map.resolve(schema)?;
+        let positions_by_id = schema
+            .relations()
+            .map(|rel| positions.get(rel.name()).copied())
+            .collect();
+        Ok(PartitionState {
+            map,
+            positions,
+            positions_by_id,
+            shards,
+        })
+    }
+
+    fn route_partition_value(&self, value: Value) -> usize {
+        match self.shards {
+            1 => 0,
+            n => shard_of_value(value, n),
+        }
+    }
+
     fn route(&self, relation: &str, values: &[Value]) -> usize {
+        self.route_on(self.positions.get(relation).copied(), values)
+    }
+
+    /// Routes a tuple whose relation has its partition column at `position`
+    /// (`None`: no partition column).
+    fn route_on(&self, position: Option<usize>, values: &[Value]) -> usize {
         // One shard holds everything: skip the hash, which resolves every
         // symbol to its string.
         if self.shards == 1 {
             return 0;
         }
-        match self.positions.get(relation) {
-            Some(pos) => match values.get(*pos) {
+        match position {
+            Some(pos) => match values.get(pos) {
                 Some(v) => shard_of_value(*v, self.shards),
                 // Arity mismatches are caught by validation; spreading keeps
                 // routing total in the meantime.
@@ -252,10 +276,7 @@ impl PartitionState {
     fn route_value(&self, relation: &str, value: Value) -> Option<usize> {
         self.positions
             .contains_key(relation)
-            .then(|| match self.shards {
-                1 => 0,
-                n => shard_of_value(value, n),
-            })
+            .then(|| self.route_partition_value(value))
     }
 
     fn split(&self, delta: &Delta) -> Vec<Delta> {
@@ -315,15 +336,21 @@ impl ShardedSnapshotView {
         &self.partition.map
     }
 
-    /// The partition column's position in `relation`, if one was declared.
-    pub fn partition_position(&self, relation: &str) -> Option<usize> {
-        self.partition.positions.get(relation).copied()
+    /// The partition column's position in the relation with id `relation`
+    /// (see [`DatabaseSchema::relation_id`]), if one was declared.
+    pub fn partition_position_at(&self, relation: usize) -> Option<usize> {
+        self.partition
+            .positions_by_id
+            .get(relation)
+            .copied()
+            .flatten()
     }
 
-    /// The shard a partition-column value of `relation` routes to, if the
-    /// relation has a declared partition column.
-    pub fn route_value(&self, relation: &str, value: Value) -> Option<usize> {
-        self.partition.route_value(relation, value)
+    /// The shard a value of a partition column routes to (whichever
+    /// relation's: every partitioned relation hashes its column the same
+    /// way).
+    pub fn route_partition_value(&self, value: Value) -> usize {
+        self.partition.route_partition_value(value)
     }
 
     /// The shard the tuple of `relation` with exactly `values` lives on
@@ -332,6 +359,13 @@ impl ShardedSnapshotView {
     /// route without building a [`Tuple`].
     pub fn route_tuple(&self, relation: &str, values: &[Value]) -> usize {
         self.partition.route(relation, values)
+    }
+
+    /// [`ShardedSnapshotView::route_tuple`] by relation id (see
+    /// [`DatabaseSchema::relation_id`]): no name lookup.
+    pub fn route_tuple_at(&self, relation: usize, values: &[Value]) -> usize {
+        self.partition
+            .route_on(self.partition_position_at(relation), values)
     }
 
     /// Splits a delta into per-shard deltas by routing every tuple.
@@ -455,11 +489,7 @@ impl ShardedSnapshotStore {
                 "a sharded store needs at least one shard".into(),
             ));
         }
-        let state = PartitionState {
-            positions: partition.resolve(db.schema())?,
-            map: partition,
-            shards,
-        };
+        let state = PartitionState::new(partition, db.schema(), shards)?;
         if shards == 1 {
             return Ok(Self::assemble(vec![db], state, 0));
         }
@@ -509,11 +539,7 @@ impl ShardedSnapshotStore {
                 )));
             }
         }
-        let state = PartitionState {
-            positions: partition.resolve(&schema)?,
-            map: partition,
-            shards: parts.len(),
-        };
+        let state = PartitionState::new(partition, &schema, parts.len())?;
         for (i, part) in parts.iter().enumerate() {
             for rel in part.relations() {
                 for t in rel.iter() {
@@ -680,14 +706,18 @@ mod tests {
             let a = view.route_tuple("friend", t.values());
             let b = view.route_tuple("friend", t.values());
             assert_eq!(a, b);
-            assert_eq!(Some(a), view.route_value("friend", Value::int(i)));
+            assert_eq!(a, view.route_partition_value(Value::int(i)));
+            let id = view.schema().relation_id("friend").unwrap();
+            assert_eq!(a, view.route_tuple_at(id, t.values()));
             assert!(a < 3);
         }
         // Partition metadata is exposed.
         assert_eq!(view.partition_map().attribute("friend"), Some("id1"));
-        assert_eq!(view.partition_position("friend"), Some(0));
-        assert_eq!(view.partition_position("nosuch"), None);
-        assert_eq!(view.route_value("nosuch", Value::int(1)), None);
+        let schema = view.schema();
+        let id = |name: &str| schema.relation_id(name).unwrap();
+        assert_eq!(view.partition_position_at(id("friend")), Some(0));
+        assert_eq!(view.partition_position_at(id("restr")), Some(0));
+        assert_eq!(view.partition_position_at(schema.len()), None);
         assert_eq!(store.partition_map().attribute("visit"), Some("id"));
     }
 
@@ -822,7 +852,7 @@ mod tests {
         }
         // A shard-local probe builds and answers through the shard index.
         let view = store.pin();
-        let home = view.route_value("friend", Value::int(7)).unwrap();
+        let home = view.route_partition_value(Value::int(7));
         let (rows, used) = view
             .shard(home)
             .relation("friend")

@@ -5,8 +5,8 @@
 //! side of that contract:
 //!
 //! * [`DatabaseSnapshot`] — one immutable version of an instance.  Relations
-//!   are held behind [`Arc`]s, so a snapshot is a name → `Arc<Relation>` map
-//!   plus an epoch number; cloning a snapshot handle is a reference-count
+//!   are held behind [`Arc`]s, so a snapshot is a vector of `Arc<Relation>`
+//!   in schema order plus an epoch number; cloning a snapshot handle is a reference-count
 //!   bump, never a data copy.
 //! * [`SnapshotStore`] — the versioned store.  Readers *pin* the current
 //!   version ([`SnapshotStore::pin`], a read-lock-and-`Arc`-clone) and keep
@@ -31,12 +31,10 @@
 
 use crate::database::Database;
 use crate::delta::Delta;
-use crate::error::DataError;
 use crate::relation::Relation;
 use crate::schema::DatabaseSchema;
 use crate::stats::DatabaseStats;
 use crate::Result;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -44,14 +42,17 @@ use std::sync::{Arc, Mutex, RwLock};
 /// One immutable, epoch-stamped version of a database instance.
 ///
 /// Obtained from a [`SnapshotStore`]; shared between readers as
-/// `Arc<DatabaseSnapshot>`.  The relation map holds `Arc<Relation>`s so that
+/// `Arc<DatabaseSnapshot>`.  The relations are `Arc<Relation>`s so that
 /// successive versions share every relation the intervening deltas did not
-/// touch.
+/// touch, laid out in schema (name) order so a relation id from
+/// [`DatabaseSchema::relation_id`] addresses one directly
+/// ([`DatabaseSnapshot::relation_at`]).
 #[derive(Debug, Clone)]
 pub struct DatabaseSnapshot {
     epoch: u64,
     schema: DatabaseSchema,
-    relations: BTreeMap<String, Arc<Relation>>,
+    /// Indexed by relation id.
+    relations: Vec<Arc<Relation>>,
 }
 
 impl DatabaseSnapshot {
@@ -59,13 +60,16 @@ impl DatabaseSnapshot {
     /// without copying them.
     pub fn from_database(db: Database) -> Self {
         let (schema, relations) = db.into_parts();
+        // A database holds exactly its schema's relations, and both iterate
+        // in name order.
+        debug_assert!(relations
+            .keys()
+            .map(String::as_str)
+            .eq(schema.relations().map(|r| r.name())));
         DatabaseSnapshot {
             epoch: 0,
             schema,
-            relations: relations
-                .into_iter()
-                .map(|(name, rel)| (name, Arc::new(rel)))
-                .collect(),
+            relations: relations.into_values().map(Arc::new).collect(),
         }
     }
 
@@ -90,15 +94,18 @@ impl DatabaseSnapshot {
 
     /// Looks up a relation by name.
     pub fn relation(&self, name: &str) -> Result<&Relation> {
-        self.relations
-            .get(name)
-            .map(Arc::as_ref)
-            .ok_or_else(|| DataError::UnknownRelation(name.to_owned()))
+        Ok(&self.relations[self.schema.relation_id(name)?])
+    }
+
+    /// The relation with id `id` (see [`DatabaseSchema::relation_id`]), if
+    /// there is one: the probe path's lookup, with no name resolution.
+    pub fn relation_at(&self, id: usize) -> Option<&Relation> {
+        self.relations.get(id).map(Arc::as_ref)
     }
 
     /// Iterates over all relations in name order.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
-        self.relations.values().map(Arc::as_ref)
+        self.relations.iter().map(Arc::as_ref)
     }
 
     /// Total number of tuples, `|D|` of this version.
@@ -115,10 +122,13 @@ impl DatabaseSnapshot {
     /// True iff this version and `other` share the physical storage of
     /// `relation` (no intervening delta touched it).
     pub fn shares_relation(&self, other: &DatabaseSnapshot, relation: &str) -> bool {
-        match (self.relations.get(relation), other.relations.get(relation)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
+        let (Ok(a), Ok(b)) = (
+            self.schema.relation_id(relation),
+            other.schema.relation_id(relation),
+        ) else {
+            return false;
+        };
+        Arc::ptr_eq(&self.relations[a], &other.relations[b])
     }
 
     /// Materialises the snapshot as an owned [`Database`] (a deep copy of
@@ -127,9 +137,8 @@ impl DatabaseSnapshot {
     pub fn to_database(&self) -> Database {
         Database::from_parts(
             self.schema.clone(),
-            self.relations
-                .iter()
-                .map(|(name, rel)| (name.clone(), Relation::clone(rel)))
+            self.relations()
+                .map(|rel| (rel.name().to_owned(), rel.clone()))
                 .collect(),
         )
     }
@@ -151,9 +160,11 @@ impl DatabaseSnapshot {
             if rd.is_empty() {
                 continue;
             }
-            let entry = relations
-                .get_mut(name)
+            let id = self
+                .schema
+                .relation_id(name)
                 .expect("validated above: relation exists");
+            let entry = &mut relations[id];
             // Copy-on-write: this is the only per-commit data copy, and it is
             // confined to the touched relation.
             let rel = Arc::make_mut(entry);
@@ -257,6 +268,7 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DataError;
     use crate::schema::social_schema;
     use crate::{tuple, Value};
 
@@ -279,6 +291,12 @@ mod tests {
         assert_eq!(snap.size(), 4);
         assert_eq!(snap.relation("friend").unwrap().len(), 2);
         assert!(snap.relation("enemy").is_err());
+        let id = snap.schema().relation_id("friend").unwrap();
+        assert!(std::ptr::eq(
+            snap.relation_at(id).unwrap(),
+            snap.relation("friend").unwrap()
+        ));
+        assert!(snap.relation_at(snap.schema().len()).is_none());
         assert_eq!(snap.statistics().total_rows(), 4);
         assert!(snap.to_string().contains("epoch=0"));
         assert_eq!(snap.to_database().size(), 4);

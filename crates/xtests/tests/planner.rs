@@ -159,7 +159,7 @@ fn planner_prefers_index_backed_path_over_bounded_scan() {
     let planner = CostBasedPlanner::new(&schema, &access, &stats);
     let q = parse_cq("Q(name) :- person(p, name, city)").unwrap();
     let costed = planner.plan_costed(&q, &["p".into()], None).unwrap();
-    match &costed.plan.steps[0] {
+    match &costed.plan.steps()[0] {
         PlanStep::Fetch { constraint, .. } => {
             assert_eq!(
                 constraint.on,
