@@ -21,8 +21,7 @@
 //! Either way a logical fetch is charged exactly like its unsharded
 //! counterpart — one probe, the constraint's time, the matching tuples —
 //! so [`si_data::MeterSnapshot`] accounting (and, through it, the paper's fetch
-//! bound `M`) stays exact under sharding, and per-worker meters summed by
-//! the morsel executor remain exact too.  This "mirror" accounting is what
+//! bound `M`) stays exact under sharding.  This "mirror" accounting is what
 //! the shard-equivalence harness pins down.
 //!
 //! ## Routing never guesses
@@ -57,11 +56,11 @@ use si_data::{
 use std::cell::Cell;
 use std::sync::Arc;
 
-/// A pinned sharded view wrapped with an access schema and a per-worker
+/// A pinned sharded view wrapped with an access schema and a per-request
 /// meter: the sharded counterpart of [`crate::SnapshotAccess`].
 ///
-/// Cheap to create (two `Arc` clones) and to [`ShardedAccess::fork`] per
-/// morsel worker.  The meter is charged once per *logical* fetch — mirror
+/// Cheap to create (two `Arc` clones) per request.  The meter is charged
+/// once per *logical* fetch — mirror
 /// accounting — while [`ShardedAccess::routed_fetches`] /
 /// [`ShardedAccess::fanned_fetches`] count how often routing pinned a
 /// single shard versus scattering.
@@ -83,20 +82,6 @@ impl<M: MeterSink + Default> ShardedAccess<M> {
             access,
             meter: M::default(),
             prune_residual_routes: false,
-            routed: Cell::new(0),
-            fanned: Cell::new(0),
-        }
-    }
-
-    /// A sibling view over the same pinned shards with a fresh meter — what
-    /// each worker thread of a partitioned execution gets.  The routing
-    /// policy is inherited; the routing counters start at zero.
-    pub fn fork(&self) -> Self {
-        ShardedAccess {
-            view: Arc::clone(&self.view),
-            access: Arc::clone(&self.access),
-            meter: M::default(),
-            prune_residual_routes: self.prune_residual_routes,
             routed: Cell::new(0),
             fanned: Cell::new(0),
         }
@@ -539,22 +524,6 @@ mod tests {
             Err(AccessError::ShardedRelation(_))
         ));
         assert!(sa.full_instance().is_none());
-    }
-
-    #[test]
-    fn forked_views_share_shards_but_not_meters_or_counters() {
-        let (view, access) = sharded(2);
-        let sa: ShardedAccess = ShardedAccess::new(view, access).with_pruned_routing(true);
-        let forked = sa.fork();
-        forked
-            .fetch("friend", &["id1".into()], &[Value::int(0)])
-            .unwrap();
-        assert_eq!(forked.meter_snapshot().index_probes, 1);
-        assert_eq!(forked.routed_fetches(), 1);
-        assert_eq!(sa.meter_snapshot().index_probes, 0);
-        assert_eq!(sa.routed_fetches(), 0);
-        assert!(Arc::ptr_eq(sa.view(), forked.view()));
-        assert!(forked.prune_residual_routes, "fork inherits the policy");
     }
 
     #[test]

@@ -527,15 +527,13 @@ pub trait AccessSource {
     }
 }
 
-/// A pinned snapshot version wrapped with an access schema and a per-worker
-/// meter: the [`AccessSource`] of the concurrent serving layer.
+/// A pinned snapshot version wrapped with an access schema and a
+/// per-request meter.
 ///
 /// Both the snapshot and the access schema are held by `Arc`, so a
-/// `SnapshotAccess` is cheap to create — one per worker, per request — and
-/// [`SnapshotAccess::fork`] hands each worker thread its own meter over the
-/// same pinned version.  Charging stays on a thread-local sink (no atomics
-/// on the fetch path); callers aggregate the per-worker
-/// [`MeterSnapshot`]s afterwards, e.g. into a
+/// `SnapshotAccess` is cheap to create — one per request.  Charging stays
+/// on a thread-local sink (no atomics on the fetch path); callers
+/// aggregate the per-request [`MeterSnapshot`]s afterwards, e.g. into a
 /// [`SharedMeter`](si_data::SharedMeter).
 ///
 /// Constructing a `SnapshotAccess` does *not* declare the access schema's
@@ -555,16 +553,6 @@ impl<M: MeterSink + Default> SnapshotAccess<M> {
         SnapshotAccess {
             snapshot,
             access,
-            meter: M::default(),
-        }
-    }
-
-    /// A sibling view over the same pinned snapshot with a fresh meter —
-    /// what each worker thread of a partitioned execution gets.
-    pub fn fork(&self) -> Self {
-        SnapshotAccess {
-            snapshot: self.snapshot.clone(),
-            access: self.access.clone(),
             meter: M::default(),
         }
     }
@@ -798,19 +786,6 @@ mod tests {
             view.full_scan("friend"),
             Err(AccessError::FullScanNotAllowed(_))
         ));
-    }
-
-    #[test]
-    fn forked_views_share_the_version_but_not_the_meter() {
-        let (store, access) = store_with_indexes();
-        let view: SnapshotAccess = SnapshotAccess::new(store.pin(), access);
-        let forked = view.fork();
-        forked
-            .fetch("friend", &["id1".into()], &[Value::int(1)])
-            .unwrap();
-        assert_eq!(forked.meter_snapshot().index_probes, 1);
-        assert_eq!(view.meter_snapshot().index_probes, 0);
-        assert!(Arc::ptr_eq(view.snapshot(), forked.snapshot()));
     }
 
     #[test]

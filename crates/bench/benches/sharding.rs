@@ -6,7 +6,7 @@
 //! tuples-fetched totals from exact meters.
 //!
 //! **Pre-pass** — N concurrent requests against a 4-shard engine (pool
-//! workers + morsel parallelism on top of data sharding) are cross-checked
+//! workers on top of data sharding) are cross-checked
 //! against naive single-threaded evaluation of the merged instance; any
 //! divergence fails the bench.
 //!
@@ -69,7 +69,6 @@ fn correctness_prepass() {
         4,
         EngineConfig {
             workers: 4,
-            shards_per_query: 2,
             max_queue: 0,
             ..EngineConfig::default()
         },
@@ -95,7 +94,7 @@ fn correctness_prepass() {
     }
     println!(
         "correctness: {divergent}/{VERIFY_SAMPLE} divergent answers \
-         (4-shard engine, pool + morsel, vs single-threaded)"
+         (4-shard engine, pool, vs single-threaded)"
     );
     assert_eq!(
         divergent, 0,

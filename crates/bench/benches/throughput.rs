@@ -8,8 +8,8 @@
 //! latency percentiles.
 //!
 //! Before timing anything, a correctness pre-pass answers a sample of the
-//! request stream both through the engine (4 workers, 4-way sharded
-//! executions, concurrent) and by naive single-threaded evaluation; any
+//! request stream both through the engine (4 workers, concurrent) and by
+//! naive single-threaded evaluation; any
 //! divergence fails the bench.  The timed runs then drain REQUESTS pooled
 //! requests per worker count.  Reported latency is *service* time (plan
 //! cache + snapshot pin + bounded execution, measured inside the worker) —
@@ -44,7 +44,7 @@ fn generated_requests(count: usize, seed: u64) -> Vec<Request> {
         .collect()
 }
 
-fn make_engine(workers: usize, shards: usize) -> Engine {
+fn make_engine(workers: usize) -> Engine {
     let db = SocialGenerator::new(SocialConfig {
         persons: PERSONS,
         restaurants: 200,
@@ -56,7 +56,6 @@ fn make_engine(workers: usize, shards: usize) -> Engine {
         serving_access_schema(5000),
         EngineConfig {
             workers,
-            shards_per_query: shards,
             max_queue: 0, // the bench intentionally floods the queue
             ..EngineConfig::default()
         },
@@ -78,7 +77,7 @@ fn naive_answers(request: &Request, db: &si_data::Database) -> Vec<Tuple> {
 
 /// Concurrent engine answers vs single-threaded evaluation: must be 0 apart.
 fn correctness_prepass() {
-    let engine = make_engine(4, 4);
+    let engine = make_engine(4);
     let requests = generated_requests(VERIFY_SAMPLE, 17);
     let ground_truth_db = engine.snapshot().to_database();
     let pending: Vec<_> = requests
@@ -114,8 +113,8 @@ fn batched_vs_unbatched() {
         .into_iter()
         .map(|g| Request::new(g.query, g.parameters, g.values))
         .collect();
-    let batched = make_engine(1, 1);
-    let unbatched = make_engine(1, 1);
+    let batched = make_engine(1);
+    let unbatched = make_engine(1);
 
     let mut divergent = 0usize;
     for wave in requests.chunks(BURST_SIZE) {
@@ -178,7 +177,7 @@ fn main() {
 
     let mut baseline_qps = None;
     for workers in WORKER_COUNTS {
-        let engine = make_engine(workers, 1);
+        let engine = make_engine(workers);
         let requests = generated_requests(REQUESTS, 42);
         // Warm up: build the lazy indexes and the plan cache before timing.
         for request in requests.iter().take(100) {

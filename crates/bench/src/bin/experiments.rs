@@ -1,4 +1,8 @@
-//! Regenerates every experiment table of `EXPERIMENTS.md`.
+//! Regenerates the paper-style experiment tables E1–E8 of the source paper
+//! (see PAPER.md), each banner naming the example, table or theorem it
+//! reproduces: Table 1's QDSI decision procedures, the bounded plans of
+//! Examples 1.1 and 4.1–4.6, incremental Q2 (Example 5.6), Q2 using views
+//! (Example 6.3), and Theorems 4.4, 5.4 and 6.1.
 //!
 //! Usage:
 //!
@@ -7,8 +11,9 @@
 //! cargo run --release -p si-bench --bin experiments -- table1  # one experiment
 //! ```
 //!
-//! Experiment ids follow DESIGN.md: `table1`, `q1`, `q3`, `q2inc`, `q2views`,
-//! `qcntl`, `ra`, `vqsi`, `ablation`.
+//! Experiment ids: `table1`, `q1`, `q3`, `q2inc`, `q2views`, `qcntl`, `ra`,
+//! `vqsi`, `ablation`.  An unknown id prints the usage line and exits with
+//! status 2.
 
 use si_access::{facebook_access_schema, AccessIndexedDatabase};
 use si_bench::{
@@ -26,9 +31,19 @@ use si_workload::{
 };
 use std::time::Instant;
 
+/// Every experiment id, in run order.
+const EXPERIMENTS: [&str; 9] = [
+    "table1", "q1", "q3", "q2inc", "q2views", "qcntl", "ra", "vqsi", "ablation",
+];
+
 fn main() {
     let which: Vec<String> = std::env::args().skip(1).collect();
-    let run = |name: &str| which.is_empty() || which.iter().any(|w| w == name || w == "--exp");
+    if let Some(unknown) = which.iter().find(|w| !EXPERIMENTS.contains(&w.as_str())) {
+        eprintln!("unknown experiment `{unknown}`");
+        eprintln!("usage: experiments [{}]...", EXPERIMENTS.join("|"));
+        std::process::exit(2);
+    }
+    let run = |name: &str| which.is_empty() || which.iter().any(|w| w == name);
     let started = Instant::now();
 
     if run("table1") {

@@ -1,9 +1,9 @@
 //! # `si-bench` — benchmark harness
 //!
 //! Shared setup code for the Criterion benches and the `experiments` binary
-//! that regenerates the paper-style tables recorded in `EXPERIMENTS.md`.
-//! Every experiment id (E1–E8) of `DESIGN.md` maps to one function here plus
-//! one Criterion bench target.
+//! that regenerates the paper-style tables E1–E8 (see PAPER.md for the
+//! source paper; each table's banner names the example or theorem it
+//! reproduces).
 
 #![forbid(unsafe_code)]
 

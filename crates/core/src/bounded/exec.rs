@@ -30,20 +30,15 @@
 //! facts when [`BoundedAnswer::witness`] is called, so a serving path that
 //! never reads it never pays for it.
 //!
-//! Execution has two phases — run the steps, then finalise (equality filter,
-//! projection, dedup) — so that [`execute_bounded_partitioned`] can run the
-//! *first* step once and fan the surviving rows out morsel-style across
-//! worker threads as slab ranges, each worker running the remaining steps
-//! over its contiguous range with its own meter.  Rows never interact
-//! across steps, so the partitioned result (answers, witness, access counts)
-//! is identical to the sequential one — the property the `si-engine`
-//! correctness tests pin down.
+//! Execution has two phases — run the steps ([`fetch_bounded`]), then
+//! finalise (equality filter, projection, dedup) — so that requests sharing
+//! `(plan, parameter values, snapshot)` can run the fetch once and each
+//! finalise from the shared [`SharedFetch`].
 
-use crate::bounded::physical::{PhysicalPlan, PhysicalStep, SlotTerm, StepOp};
+use crate::bounded::physical::{PhysicalPlan, SlotTerm, StepOp};
 use crate::bounded::plan::BoundedPlan;
 use crate::error::CoreError;
 use crate::si::Witness;
-use crate::trace::{ExecPhase, TraceSink};
 use si_access::AccessSource;
 use si_data::{MeterSnapshot, Tuple, TupleSet, Value};
 use std::sync::Arc;
@@ -75,7 +70,7 @@ impl BoundedAnswer {
 
     /// The witness `D_Q`: every base fact the evaluation fetched and used,
     /// deduplicated, in the order the executor first used it (plan-step
-    /// major, row order within a step — also under partitioned execution).
+    /// major, row order within a step).
     ///
     /// Rendered from the recorded log on each call: it allocates one
     /// `(relation, tuple)` pair per distinct fact, so callers that need it
@@ -112,18 +107,6 @@ impl WitnessLog {
     fn push(&mut self, atom: usize, values: &[Value]) {
         self.facts.push((atom, self.values.len()));
         self.values.extend_from_slice(values);
-    }
-
-    /// Appends `other`'s facts after this log's, preserving their order.
-    fn append(&mut self, other: WitnessLog) {
-        let base = self.values.len();
-        self.facts.extend(
-            other
-                .facts
-                .iter()
-                .map(|&(atom, offset)| (atom, base + offset)),
-        );
-        self.values.extend(other.values);
     }
 
     /// Renders the recorded facts as `(relation, tuple)` pairs,
@@ -230,24 +213,17 @@ fn fill_key(key: &mut Vec<Value>, program: &[SlotTerm], row: &[Option<Value>]) {
     );
 }
 
-/// Runs a slice of compiled steps over the slab `rows`, recording the base
+/// Runs the plan's compiled steps over the slab `rows`, recording the base
 /// facts used in `witness`.
-///
-/// This is the morsel body: the sequential executor calls it once with every
-/// step, the partitioned executor calls it per worker with the tail of the
-/// step list and a range of the first step's output rows.  Rows never
-/// interact, so running ranges on separate workers and concatenating
-/// preserves the sequential row order exactly.
 fn run_steps<A: AccessSource>(
     physical: &PhysicalPlan,
-    steps: &[PhysicalStep],
     mut rows: Vec<Option<Value>>,
     adb: &A,
     witness: &mut WitnessLog,
 ) -> Result<Vec<Option<Value>>, CoreError> {
     let stride = physical.stride;
     let mut key: Vec<Value> = Vec::new();
-    for step in steps {
+    for step in &physical.steps {
         if rows.is_empty() {
             break;
         }
@@ -419,7 +395,7 @@ pub fn fetch_bounded<A: AccessSource>(
     let before = adb.meter_snapshot();
     let mut witness = WitnessLog::default();
     let seed = seed_rows(physical, parameter_values)?;
-    let rows = run_steps(physical, &physical.steps, seed, adb, &mut witness)?;
+    let rows = run_steps(physical, seed, adb, &mut witness)?;
     let accesses = adb.meter_snapshot().since(&before);
     Ok(SharedFetch {
         rows,
@@ -438,198 +414,6 @@ pub fn execute_bounded<A: AccessSource>(
     adb: &A,
 ) -> Result<BoundedAnswer, CoreError> {
     fetch_bounded(plan, parameter_values, adb)?.into_answer(plan)
-}
-
-/// Wall-clock nanoseconds since `start`, saturating.
-fn nanos_since(start: std::time::Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// [`execute_bounded`] with per-phase timing reported to `sink`.
-///
-/// Identical result to [`execute_bounded`]; additionally reports the
-/// duration of the fetch phase (seed + plan steps) and of the finalize pass
-/// (equality filter + projection + dedup) as [`ExecPhase::Fetch`] /
-/// [`ExecPhase::Finalize`].
-pub fn execute_bounded_traced<A: AccessSource>(
-    plan: &BoundedPlan,
-    parameter_values: &[Value],
-    adb: &A,
-    sink: &mut dyn TraceSink,
-) -> Result<BoundedAnswer, CoreError> {
-    let start = std::time::Instant::now();
-    let fetch = fetch_bounded(plan, parameter_values, adb)?;
-    sink.exec_phase(ExecPhase::Fetch, nanos_since(start));
-    let start = std::time::Instant::now();
-    let answer = fetch.into_answer(plan)?;
-    sink.exec_phase(ExecPhase::Finalize, nanos_since(start));
-    Ok(answer)
-}
-
-/// Executes `plan` morsel-style across `workers` threads.
-///
-/// The first step runs once (its probe key is the seed row — the
-/// parameters); the surviving rows are split into `workers` contiguous slab
-/// ranges, and each worker runs the remaining steps over its range against
-/// its own [`AccessSource`] obtained from `source` — in the serving layer
-/// that is a [`si_access::ShardedAccess::fork`] over the same pinned view
-/// with a fresh per-worker meter.
-///
-/// Chunking preserves row order and rows never interact across steps, so
-/// the merged answers, witness and access counts are **identical** to
-/// [`execute_bounded`] — parallelism changes wall-clock time only.  With
-/// `workers <= 1`, fewer than two plan steps, or fewer than two surviving
-/// rows, execution stays on the calling thread.
-pub fn execute_bounded_partitioned<A, F>(
-    plan: &BoundedPlan,
-    parameter_values: &[Value],
-    source: F,
-    workers: usize,
-) -> Result<BoundedAnswer, CoreError>
-where
-    A: AccessSource,
-    F: Fn() -> A + Sync,
-{
-    partitioned_impl(plan, parameter_values, source, workers, None)
-}
-
-/// [`execute_bounded_partitioned`] with per-phase timing reported to `sink`.
-///
-/// The fetch phase covers the first-step probe, the morsel fan-out, and the
-/// merge of worker results; the finalize phase is the sequential equality
-/// filter + projection + dedup over the merged rows.
-pub fn execute_bounded_partitioned_traced<A, F>(
-    plan: &BoundedPlan,
-    parameter_values: &[Value],
-    source: F,
-    workers: usize,
-    sink: &mut dyn TraceSink,
-) -> Result<BoundedAnswer, CoreError>
-where
-    A: AccessSource,
-    F: Fn() -> A + Sync,
-{
-    partitioned_impl(plan, parameter_values, source, workers, Some(sink))
-}
-
-fn partitioned_impl<A, F>(
-    plan: &BoundedPlan,
-    parameter_values: &[Value],
-    source: F,
-    workers: usize,
-    sink: Option<&mut dyn TraceSink>,
-) -> Result<BoundedAnswer, CoreError>
-where
-    A: AccessSource,
-    F: Fn() -> A + Sync,
-{
-    let main = source();
-    let physical = plan.physical();
-    if workers <= 1 || physical.steps.len() < 2 {
-        return match sink {
-            Some(sink) => execute_bounded_traced(plan, parameter_values, &main, sink),
-            None => execute_bounded(plan, parameter_values, &main),
-        };
-    }
-    check_source(physical, &main)?;
-    let fetch_start = std::time::Instant::now();
-    let before = main.meter_snapshot();
-    let mut witness = WitnessLog::default();
-    let (first, rest) = physical.steps.split_first().expect("checked: >= 2 steps");
-    let seed = seed_rows(physical, parameter_values)?;
-    let rows = run_steps(
-        physical,
-        std::slice::from_ref(first),
-        seed,
-        &main,
-        &mut witness,
-    )?;
-    let stride = physical.stride;
-    let row_count = rows.len() / stride;
-
-    let finish = |rows: &[Option<Value>],
-                  witness: WitnessLog,
-                  accesses: MeterSnapshot,
-                  mut sink: Option<&mut dyn TraceSink>| {
-        if let Some(sink) = sink.as_deref_mut() {
-            sink.exec_phase(ExecPhase::Fetch, nanos_since(fetch_start));
-        }
-        let finalize_start = std::time::Instant::now();
-        let answer = finalize(physical, rows, witness, accesses);
-        if let Some(sink) = sink {
-            sink.exec_phase(ExecPhase::Finalize, nanos_since(finalize_start));
-        }
-        answer
-    };
-    if row_count < 2 {
-        let rows = run_steps(physical, rest, rows, &main, &mut witness)?;
-        let accesses = main.meter_snapshot().since(&before);
-        return finish(&rows, witness, accesses, sink);
-    }
-    let mut accesses = main.meter_snapshot().since(&before);
-
-    // Contiguous slab ranges keep the sequential row order when
-    // concatenated.  Workers record witness facts in one log *per step* so
-    // the merge can interleave them step-major (all workers' step-2 facts,
-    // then step-3, …) — the order the sequential executor produces.
-    type WorkerResult = Result<(Vec<Option<Value>>, Vec<WitnessLog>, MeterSnapshot), CoreError>;
-    let chunk_len = row_count.div_ceil(workers) * stride;
-    let worker_results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = rows
-            .chunks(chunk_len)
-            .map(|chunk| {
-                let source = &source;
-                scope.spawn(move || {
-                    let src = source();
-                    check_source(physical, &src)?;
-                    let before = src.meter_snapshot();
-                    let mut chunk_rows = chunk.to_vec();
-                    let mut witness_per_step: Vec<WitnessLog> = Vec::with_capacity(rest.len());
-                    // One run_steps call per step: identical semantics to one
-                    // call with the whole slice, but the witness stays
-                    // step-separable.
-                    for step in rest {
-                        let mut witness = WitnessLog::default();
-                        chunk_rows = run_steps(
-                            physical,
-                            std::slice::from_ref(step),
-                            chunk_rows,
-                            &src,
-                            &mut witness,
-                        )?;
-                        witness_per_step.push(witness);
-                    }
-                    Ok((
-                        chunk_rows,
-                        witness_per_step,
-                        src.meter_snapshot().since(&before),
-                    ))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("partitioned worker panicked"))
-            .collect()
-    });
-
-    let mut all_rows: Vec<Option<Value>> = Vec::new();
-    let mut witness_by_step: Vec<Vec<WitnessLog>> = Vec::new();
-    for result in worker_results {
-        let (rows_i, witness_i, accesses_i) = result?;
-        all_rows.extend(rows_i);
-        witness_by_step.push(witness_i);
-        accesses = accesses.plus(&accesses_i);
-    }
-    // Step-major, worker-minor: exactly the sequential append order.
-    for step_index in 0..rest.len() {
-        for worker_witness in &mut witness_by_step {
-            if let Some(log) = worker_witness.get_mut(step_index) {
-                witness.append(std::mem::take(log));
-            }
-        }
-    }
-    finish(&all_rows, witness, accesses, sink)
 }
 
 #[cfg(test)]
@@ -855,237 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_execution_is_bit_identical_to_sequential() {
-        use si_data::SnapshotStore;
-        use std::sync::Arc;
-        let schema = social_schema();
-        let access = facebook_access_schema(5000);
-        let planner = BoundedPlanner::new(&schema, &access);
-        let q1 = parse_cq(r#"Q1(p, name) :- friend(p, id), person(id, name, "NYC")"#).unwrap();
-        let plan = planner.plan(&q1, &["p".into()]).unwrap();
-
-        // A database where person 1 has many friends, so the first fetch
-        // yields enough rows for every worker to get a non-trivial chunk.
-        let mut db = Database::empty(schema);
-        for i in 2..200i64 {
-            db.insert("friend", tuple![1, i]).unwrap();
-            let city = if i % 3 == 0 { "NYC" } else { "LA" };
-            db.insert("person", tuple![i, format!("p{i}"), city])
-                .unwrap();
-        }
-        for (relation, attrs) in access.required_indexes() {
-            if !attrs.is_empty() {
-                db.declare_index(&relation, &attrs).unwrap();
-            }
-        }
-        let sequential = {
-            let adb = AccessIndexedDatabase::new(db.clone(), access.clone()).unwrap();
-            execute_bounded(&plan, &[Value::int(1)], &adb).unwrap()
-        };
-
-        let store = SnapshotStore::new(db);
-        let access = Arc::new(access);
-        for workers in [1usize, 2, 3, 4, 8, 64] {
-            let snap = store.pin();
-            let make = || {
-                si_access::SnapshotAccess::<si_data::AccessMeter>::new(snap.clone(), access.clone())
-            };
-            let parallel =
-                execute_bounded_partitioned(&plan, &[Value::int(1)], make, workers).unwrap();
-            // Identical answers *in the same order*, identical witness,
-            // identical access accounting.
-            assert_eq!(parallel.answers, sequential.answers, "workers={workers}");
-            assert_eq!(
-                parallel.witness(),
-                sequential.witness(),
-                "workers={workers}"
-            );
-            assert_eq!(parallel.accesses, sequential.accesses, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn partitioned_three_step_plan_keeps_the_sequential_witness_order() {
-        // Witness facts are appended step-major in sequential execution; a
-        // chunk-major merge would reorder them on plans with 3+ steps (this
-        // is a regression test for exactly that bug).
-        use si_data::SnapshotStore;
-        use std::sync::Arc;
-        let schema = social_schema();
-        let access = facebook_access_schema(5000).with(si_access::AccessConstraint::new(
-            "visit",
-            &["id"],
-            1000,
-            1,
-        ));
-        let planner = BoundedPlanner::new(&schema, &access);
-        let q2 = parse_cq(
-            r#"Q2(p, rn) :- friend(p, id), visit(id, rid), person(id, pn, "NYC"), restr(rid, rn, "NYC", "A")"#,
-        )
-        .unwrap();
-        let plan = planner.plan(&q2, &["p".into()]).unwrap();
-        assert!(
-            plan.steps().len() >= 3,
-            "Q2 must exercise a multi-step tail"
-        );
-
-        let mut db = Database::empty(schema);
-        for i in 2..120i64 {
-            db.insert("friend", tuple![1, i]).unwrap();
-            let city = if i % 2 == 0 { "NYC" } else { "LA" };
-            db.insert("person", tuple![i, format!("p{i}"), city])
-                .unwrap();
-            db.insert("visit", tuple![i, 1000 + i % 7]).unwrap();
-        }
-        for r in 0..7i64 {
-            let rating = if r % 2 == 0 { "A" } else { "B" };
-            db.insert("restr", tuple![1000 + r, format!("r{r}"), "NYC", rating])
-                .unwrap();
-        }
-        for (relation, attrs) in access.required_indexes() {
-            if !attrs.is_empty() {
-                db.declare_index(&relation, &attrs).unwrap();
-            }
-        }
-        let sequential = {
-            let adb = AccessIndexedDatabase::new(db.clone(), access.clone()).unwrap();
-            execute_bounded(&plan, &[Value::int(1)], &adb).unwrap()
-        };
-        assert!(!sequential.answers.is_empty());
-
-        let store = SnapshotStore::new(db);
-        let access = Arc::new(access);
-        let snap = store.pin();
-        for workers in [2usize, 3, 4, 8] {
-            let make = || {
-                si_access::SnapshotAccess::<si_data::AccessMeter>::new(snap.clone(), access.clone())
-            };
-            let parallel =
-                execute_bounded_partitioned(&plan, &[Value::int(1)], make, workers).unwrap();
-            assert_eq!(parallel.answers, sequential.answers, "workers={workers}");
-            assert_eq!(
-                parallel.witness(),
-                sequential.witness(),
-                "workers={workers}"
-            );
-            assert_eq!(parallel.accesses, sequential.accesses, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn partitioned_execution_handles_empty_and_tiny_row_sets() {
-        use si_data::SnapshotStore;
-        use std::sync::Arc;
-        let schema = social_schema();
-        let access = facebook_access_schema(5000);
-        let planner = BoundedPlanner::new(&schema, &access);
-        let q1 = parse_cq(r#"Q1(p, name) :- friend(p, id), person(id, name, "NYC")"#).unwrap();
-        let plan = planner.plan(&q1, &["p".into()]).unwrap();
-        let store = SnapshotStore::new(social_db());
-        let access = Arc::new(access);
-        let snap = store.pin();
-        let make =
-            || si_access::SnapshotAccess::<si_data::AccessMeter>::new(snap.clone(), access.clone());
-        // Person 4 has no outgoing friends: first fetch yields zero rows.
-        let empty = execute_bounded_partitioned(&plan, &[Value::int(4)], make, 4).unwrap();
-        assert!(empty.answers.is_empty());
-        // Person 2 has exactly one friend: single-row fast path.
-        let one = execute_bounded_partitioned(&plan, &[Value::int(2)], make, 4).unwrap();
-        assert_eq!(one.answers, vec![tuple!["dan"]]);
-    }
-
-    #[test]
-    fn partitioned_execution_over_a_sharded_source_matches_sequential_unsharded() {
-        // Data sharding (ShardedAccess over a hash-partitioned store) and
-        // morsel sharding (execute_bounded_partitioned) compose: each worker
-        // forks a sharded source over the same pinned shard vector, and the
-        // merged result keeps the answer *set*, witness *set* and meter
-        // identical to sequential execution over the unsharded store.
-        use si_data::{PartitionMap, ShardedSnapshotStore, SnapshotStore};
-        use std::collections::BTreeSet;
-        use std::sync::Arc;
-        let schema = social_schema();
-        let access = facebook_access_schema(5000).with(si_access::AccessConstraint::new(
-            "visit",
-            &["id"],
-            1000,
-            1,
-        ));
-        let planner = BoundedPlanner::new(&schema, &access);
-        let q2 = parse_cq(
-            r#"Q2(p, rn) :- friend(p, id), visit(id, rid), person(id, pn, "NYC"), restr(rid, rn, "NYC", "A")"#,
-        )
-        .unwrap();
-        let plan = planner.plan(&q2, &["p".into()]).unwrap();
-
-        let mut db = Database::empty(schema);
-        for i in 2..150i64 {
-            db.insert("friend", tuple![1, i]).unwrap();
-            let city = if i % 2 == 0 { "NYC" } else { "LA" };
-            db.insert("person", tuple![i, format!("p{i}"), city])
-                .unwrap();
-            db.insert("visit", tuple![i, 1000 + i % 5]).unwrap();
-        }
-        for r in 0..5i64 {
-            let rating = if r % 2 == 0 { "A" } else { "B" };
-            db.insert("restr", tuple![1000 + r, format!("r{r}"), "NYC", rating])
-                .unwrap();
-        }
-        for (relation, attrs) in access.required_indexes() {
-            if !attrs.is_empty() {
-                db.declare_index(&relation, &attrs).unwrap();
-            }
-        }
-        let sequential = {
-            let store = SnapshotStore::new(db.clone());
-            let view = si_access::SnapshotAccess::<si_data::AccessMeter>::new(
-                store.pin(),
-                Arc::new(access.clone()),
-            );
-            execute_bounded(&plan, &[Value::int(1)], &view).unwrap()
-        };
-        assert!(!sequential.answers.is_empty());
-        let partition = PartitionMap::new()
-            .with("person", "id")
-            .with("friend", "id1")
-            .with("visit", "id")
-            .with("restr", "rid");
-
-        let canon = |answer: &BoundedAnswer| {
-            let mut answers = answer.answers.clone();
-            answers.sort();
-            let facts: BTreeSet<(String, Tuple)> = answer.witness().facts.into_iter().collect();
-            (answers, facts)
-        };
-        let expected = canon(&sequential);
-        for data_shards in [1usize, 3, 8] {
-            let store =
-                ShardedSnapshotStore::new(db.clone(), partition.clone(), data_shards).unwrap();
-            let view = store.pin();
-            let access = Arc::new(access.clone());
-            for workers in [1usize, 2, 4, 8] {
-                let make = || {
-                    si_access::ShardedAccess::<si_data::AccessMeter>::new(
-                        view.clone(),
-                        access.clone(),
-                    )
-                };
-                let parallel =
-                    execute_bounded_partitioned(&plan, &[Value::int(1)], make, workers).unwrap();
-                assert_eq!(
-                    canon(&parallel),
-                    expected,
-                    "data_shards={data_shards} workers={workers}"
-                );
-                assert_eq!(
-                    parallel.accesses, sequential.accesses,
-                    "data_shards={data_shards} workers={workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn shared_fetch_finalisations_are_bit_identical_to_execute_bounded() {
         let schema = social_schema();
         let access = facebook_access_schema(5000);
@@ -1195,18 +748,10 @@ mod tests {
             assert_eq!(reference.accesses.tuples_fetched, fetched, "{text}");
             assert_eq!(reference.witness().size(), witness, "{text}");
 
-            let snap = store.pin();
-            let make = || {
-                si_access::SnapshotAccess::<si_data::AccessMeter>::new(snap.clone(), access.clone())
-            };
-            let mut runs = vec![("sequential snapshot", execute_bounded(&plan, &[], &make()))];
-            for workers in [2usize, 4] {
-                runs.push((
-                    "partitioned",
-                    execute_bounded_partitioned(&plan, &[], make, workers),
-                ));
-            }
-            let shared = fetch_bounded(&plan, &[], &make()).unwrap();
+            let snap =
+                si_access::SnapshotAccess::<si_data::AccessMeter>::new(store.pin(), access.clone());
+            let mut runs = vec![("sequential snapshot", execute_bounded(&plan, &[], &snap))];
+            let shared = fetch_bounded(&plan, &[], &snap).unwrap();
             runs.push(("finalize_one", shared.finalize_one(&plan)));
             for store in &sharded {
                 let view = store.pin();
@@ -1250,22 +795,17 @@ mod tests {
             .unwrap();
         let access = Arc::new(access.clone());
 
-        let snap = SnapshotStore::new(db.clone()).pin();
-        let make =
-            || si_access::SnapshotAccess::<si_data::AccessMeter>::new(snap.clone(), access.clone());
+        let snap = si_access::SnapshotAccess::<si_data::AccessMeter>::new(
+            SnapshotStore::new(db.clone()).pin(),
+            access.clone(),
+        );
         let partition = PartitionMap::new().with("friend", "id1");
         let view = ShardedSnapshotStore::new(db, partition, 2).unwrap().pin();
         let sharded = si_access::ShardedAccess::<si_data::AccessMeter>::new(view, access.clone());
         let refused = |result: Result<BoundedAnswer, CoreError>| matches!(result, Err(CoreError::Invariant(msg)) if msg.contains("friend"));
-        assert!(refused(execute_bounded(&plan, &[Value::int(1)], &make())));
+        assert!(refused(execute_bounded(&plan, &[Value::int(1)], &snap)));
         assert!(refused(execute_bounded(&plan, &[Value::int(1)], &sharded)));
-        assert!(refused(execute_bounded_partitioned(
-            &plan,
-            &[Value::int(1)],
-            make,
-            4
-        )));
-        assert!(fetch_bounded(&plan, &[Value::int(1)], &make()).is_err());
+        assert!(fetch_bounded(&plan, &[Value::int(1)], &snap).is_err());
     }
 
     #[test]

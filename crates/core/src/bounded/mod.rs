@@ -10,9 +10,6 @@ mod physical;
 pub mod plan;
 
 pub use costplan::{CostBasedPlanner, CostedPlan};
-pub use exec::{
-    execute_bounded, execute_bounded_partitioned, execute_bounded_partitioned_traced,
-    execute_bounded_traced, fetch_bounded, BoundedAnswer, SharedFetch,
-};
+pub use exec::{execute_bounded, fetch_bounded, BoundedAnswer, SharedFetch};
 pub use naive::execute_naive;
 pub use plan::{BoundedPlan, BoundedPlanner, PlanStep};

@@ -28,12 +28,13 @@
 //! ## Execution representation
 //!
 //! All executors in this crate run on the **copy-cheap data plane** shared
-//! with `si-query`: `si_data::Value` is a `Copy` enum with interned strings,
-//! and partial assignments are flat `si_query::binding::Binding` slabs over a
-//! per-execution `si_query::binding::VarTable` (variables numbered once,
-//! atoms compiled to slot ids).  Extending an assignment — the inner loop of
-//! the Theorem-4.2 executor and of incremental maintenance — clones a flat
-//! array of `Copy` values instead of a `BTreeMap<Var, Value>`.
+//! with `si-query`: `si_data::Value` is a `Copy` enum with interned strings.
+//! The Theorem-4.2 executor runs a plan compiled once by the planner
+//! (variables numbered into row slots, probes resolved to relation ids) over
+//! one flat `Vec<Option<Value>>` row slab, so extending an assignment copies
+//! a flat array of `Copy` values instead of a `BTreeMap<Var, Value>`;
+//! incremental maintenance uses the flat `si_query::binding::Binding` slabs
+//! over a `si_query::binding::VarTable`.
 //!
 //! ## Quick start
 //!
@@ -74,13 +75,11 @@ pub mod incremental;
 pub mod qdsi;
 pub mod qsi;
 pub mod si;
-pub mod trace;
 pub mod views;
 
 pub use bounded::{
-    execute_bounded, execute_bounded_partitioned, execute_bounded_partitioned_traced,
-    execute_bounded_traced, execute_naive, fetch_bounded, BoundedAnswer, BoundedPlan,
-    BoundedPlanner, CostBasedPlanner, CostedPlan, PlanStep, SharedFetch,
+    execute_bounded, execute_naive, fetch_bounded, BoundedAnswer, BoundedPlan, BoundedPlanner,
+    CostBasedPlanner, CostedPlan, PlanStep, SharedFetch,
 };
 pub use controllability::{
     decide_qcntl, decide_qcntl_min, minimal_controlling_sets, AlgebraControllability,
@@ -94,7 +93,6 @@ pub use incremental::{
 pub use qdsi::{decide_qdsi, decide_qdsi_with_access, DecisionMethod, QdsiOutcome, SearchLimits};
 pub use qsi::{decide_qsi, QsiAnswer};
 pub use si::{check_witness, is_witness, AnyQuery, Witness};
-pub use trace::{ExecPhase, NullTraceSink, TraceSink};
 pub use views::{
     decide_vqsi_cq, execute_with_views, find_cheapest_rewriting, find_rewriting, is_rewriting,
     is_scale_independent_using_views, ViewDef, ViewSet, VqsiOutcome,

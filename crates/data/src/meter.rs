@@ -262,8 +262,8 @@ impl MeterSnapshot {
         }
     }
 
-    /// Component-wise sum, used to aggregate the per-worker deltas of a
-    /// partitioned execution into one access-cost report.
+    /// Component-wise sum, used to aggregate several access-cost deltas
+    /// (e.g. per-shard maintenance runs) into one report.
     pub fn plus(&self, other: &MeterSnapshot) -> MeterSnapshot {
         MeterSnapshot {
             tuples_fetched: self.tuples_fetched + other.tuples_fetched,

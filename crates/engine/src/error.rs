@@ -1,5 +1,6 @@
 //! Error type of the serving layer.
 
+use si_access::AccessError;
 use si_core::CoreError;
 use si_data::DataError;
 use si_durability::DurabilityError;
@@ -101,8 +102,15 @@ impl std::error::Error for EngineError {
 }
 
 impl From<CoreError> for EngineError {
+    /// A replica that cannot serve the pinned epoch surfaces as the engine's
+    /// own [`EngineError::EpochUnavailable`]; every other core error wraps.
     fn from(e: CoreError) -> Self {
-        EngineError::Core(e)
+        match e {
+            CoreError::Access(AccessError::EpochUnavailable {
+                requested, newest, ..
+            }) => EngineError::EpochUnavailable { requested, newest },
+            other => EngineError::Core(other),
+        }
     }
 }
 

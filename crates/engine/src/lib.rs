@@ -38,13 +38,13 @@
 //!    (partition-column probes route to a single shard, everything else
 //!    fans out in shard order), and answers, epochs and access accounting do
 //!    not depend on the shard count.
-//! 4. **Parallel bounded execution** — a fixed worker pool (hand-rolled
-//!    on `std::thread` + mpsc) serves requests concurrently;
-//!    within a request, [`execute_bounded_partitioned`](si_core) can fan the
-//!    first fetch's surviving rows out morsel-style
-//!    ([`EngineConfig::shards_per_query`]) with per-worker
-//!    [`AccessMeter`]s aggregated into the engine's
-//!    [`SharedMeter`].
+//! 4. **Concurrent serving, one serve body** — a fixed worker pool
+//!    (hand-rolled on `std::thread` + mpsc) serves requests concurrently,
+//!    each on one thread.  Every read — lone, pinned, replicated, or a
+//!    member of a shared-fetch batch — runs the same body (arity →
+//!    canonicalize → materialized fast path → plan → execute → meter →
+//!    record → trace); only how the plan is executed differs.  Per-request
+//!    meters are aggregated into the engine's [`SharedMeter`].
 //!
 //! ```
 //! use si_engine::{Engine, EngineConfig, Request};
@@ -71,6 +71,7 @@ pub mod error;
 pub mod materialize;
 mod pool;
 pub mod replica;
+mod serve;
 pub mod shape;
 pub mod subscribe;
 mod telemetry;
@@ -88,24 +89,19 @@ pub use si_telemetry::{
 };
 pub use subscribe::{AnswerUpdate, ChangeSet, ObservableQuery, SubscriptionRegistry};
 
-use si_access::{AccessError, AccessSchema, ShardedAccess};
-use si_core::bounded::{
-    execute_bounded, execute_bounded_partitioned, execute_bounded_partitioned_traced,
-    execute_bounded_traced, fetch_bounded, SharedFetch,
-};
-use si_core::{
-    maintenance_is_bounded, BoundedPlan, CoreError, ExecPhase, IncrementalBoundedEvaluator,
-    TraceSink,
-};
+use serve::Read;
+use si_access::AccessSchema;
+use si_core::bounded::execute_bounded;
+use si_core::{maintenance_is_bounded, BoundedPlan, CoreError, IncrementalBoundedEvaluator};
 use si_data::{
-    AccessMeter, Database, DatabaseSchema, DatabaseSnapshot, DatabaseStats, Delta, DeltaBatch,
-    MeterSink, MeterSnapshot, PartitionMap, ShardStats, ShardedSnapshotStore, ShardedSnapshotView,
+    Database, DatabaseSchema, DatabaseSnapshot, DatabaseStats, Delta, DeltaBatch, MeterSink,
+    MeterSnapshot, PartitionMap, ShardStats, ShardedSnapshotStore, ShardedSnapshotView,
     SharedMeter, Tuple, Value,
 };
 use si_durability::{Checkpoint, CheckpointBackend, DurabilityConfig, DurabilityError, Wal};
 use si_query::{ConjunctiveQuery, Var};
-use si_telemetry::{PhaseClock, Sample};
-use std::collections::{HashMap, HashSet};
+use si_telemetry::Sample;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -120,10 +116,6 @@ pub struct EngineConfig {
     /// Worker threads in the serving pool (≥ 1); requests submitted through
     /// [`Engine::submit`] are executed by these threads.
     pub workers: usize,
-    /// Morsel width *within* one execution: the first fetch's surviving rows
-    /// are split across this many threads (1 = stay on the serving thread,
-    /// which is right for short bounded plans).
-    pub shards_per_query: usize,
     /// Admission budget: reject any request whose cheapest bounded plan has
     /// a worst-case fetch count above this (`None` = admit everything
     /// plannable).
@@ -197,7 +189,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             workers: 4,
-            shards_per_query: 1,
             fetch_budget: None,
             max_queue: 1024,
             stats_drift_threshold: 0.2,
@@ -484,6 +475,12 @@ struct DurableState {
 }
 
 /// Engine state shared between the public handle and the pool workers.
+///
+/// Every read goes through one serve body (`serve.rs`): arity →
+/// canonicalize → materialized fast path → plan → execute → meter → record
+/// → trace.  Lone, pinned, replicated and batched reads differ only in how
+/// the plan is executed — over the local shards, over the replicas, or as
+/// a shared-fetch group member.
 #[derive(Debug)]
 pub(crate) struct Shared {
     config: EngineConfig,
@@ -526,722 +523,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Serves one request against the *current* snapshot.
-    pub(crate) fn serve(&self, request: &Request) -> Result<QueryResponse> {
-        self.serve_queued(request, 0)
-    }
-
-    /// [`Shared::serve`] for pool workers, carrying the measured queue wait
-    /// into the request's trace.
-    pub(crate) fn serve_queued(
-        &self,
-        request: &Request,
-        queue_wait_nanos: u64,
-    ) -> Result<QueryResponse> {
-        // The sampling decision comes first so the snapshot pin itself is
-        // inside the traced window (the `SnapshotPin` phase).
-        let mut clock = (self.telemetry.sampler.hit() || request.trace).then(PhaseClock::new);
-        let snapshot = self.store.pin();
-        if let Some(c) = clock.as_mut() {
-            c.mark(Phase::SnapshotPin);
-        }
-        self.serve_traced(&snapshot, request, clock, queue_wait_nanos)
-    }
-
-    /// Serves one request against a caller-pinned snapshot version (no pin
-    /// taken, so a traced request charges 0 to the `SnapshotPin` phase).
-    fn serve_at(
-        &self,
-        snapshot: &Arc<ShardedSnapshotView>,
-        request: &Request,
-    ) -> Result<QueryResponse> {
-        // A pinned version this store has *not* committed yet (a snapshot
-        // from a different engine's future, or a replica running ahead) has
-        // no data behind it here — refuse it with a typed error instead of
-        // serving whatever the foreign Arc happens to hold.  Old pins stay
-        // valid: their versions are retained by the Arc itself.
-        if snapshot.epoch() > self.store.epoch() {
-            return Err(EngineError::EpochUnavailable {
-                requested: snapshot.epoch(),
-                newest: self.store.epoch(),
-            });
-        }
-        let clock = (self.telemetry.sampler.hit() || request.trace).then(PhaseClock::new);
-        self.serve_traced(snapshot, request, clock, 0)
-    }
-
-    /// Serves one request through the replicated read path: pin the current
-    /// version, wait until every replica acknowledges that epoch
-    /// (read-your-writes), then execute the plan over the wire with
-    /// [`ReplicatedAccess`] — the transport-backed mirror of the sharded
-    /// serve path, with byte-identical accounting.
-    pub(crate) fn serve_replicated(&self, request: &Request) -> Result<QueryResponse> {
-        let start = Instant::now();
-        let _in_flight = self.telemetry.enter();
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        if request.values.len() != request.parameters.len() {
-            return Err(EngineError::ParameterArity {
-                expected: request.parameters.len(),
-                actual: request.values.len(),
-            });
-        }
-        let set = self
-            .replication
-            .read()
-            .expect("replication lock poisoned")
-            .clone()
-            .ok_or_else(|| EngineError::Replication("no replicas attached".to_owned()))?;
-        let mut clock = (self.telemetry.sampler.hit() || request.trace).then(PhaseClock::new);
-        let snapshot = self.store.pin();
-        let epoch = snapshot.epoch();
-        // Read-your-writes: every commit this engine acknowledged is
-        // visible to the replicas before any probe is routed to them.
-        set.wait_read_your_writes(epoch)?;
-        if let Some(c) = clock.as_mut() {
-            c.mark(Phase::SnapshotPin);
-        }
-        let canonical = canonicalize(&request.query, &request.parameters);
-        if let Some(c) = clock.as_mut() {
-            c.mark(Phase::Admit);
-        }
-        let (cached, cache_hit) = self.plan_for(&snapshot, &canonical)?;
-        if let Some(c) = clock.as_mut() {
-            c.mark(Phase::PlanLookup);
-        }
-        let source = set.source_at(epoch)?;
-        let result =
-            execute_bounded(&cached.plan, &request.values, &source).map_err(|e| match e {
-                CoreError::Access(AccessError::EpochUnavailable {
-                    requested, newest, ..
-                }) => EngineError::EpochUnavailable { requested, newest },
-                other => EngineError::Core(other),
-            })?;
-        if let Some(c) = clock.as_mut() {
-            c.skip();
-        }
-        self.meter.merge(&result.accesses);
-        let trace = self.finish_request(
-            clock,
-            start,
-            0,
-            request.trace,
-            TraceFacts {
-                shape: &canonical.key,
-                epoch,
-                provenance: Provenance::Planned { cache_hit },
-                estimated_tuples: cached.estimated_tuples,
-                fetched_tuples: result.accesses.tuples_fetched,
-                answers: result.answers.len() as u64,
-                routed_fetches: source.routed_fetches(),
-                fanned_fetches: source.fanned_fetches(),
-                batch: None,
-            },
-        );
-        Ok(QueryResponse {
-            answers: result.answers,
-            accesses: result.accesses,
-            epoch,
-            cache_hit,
-            materialized: false,
-            static_cost: cached.plan.static_cost(),
-            service: start.elapsed(),
-            trace,
-        })
-    }
-
-    /// The serve path proper: admit → plan-cache → execute → merge, with the
-    /// optional phase clock threaded through every stage.
-    fn serve_traced(
-        &self,
-        snapshot: &Arc<ShardedSnapshotView>,
-        request: &Request,
-        mut clock: Option<PhaseClock>,
-        queue_wait_nanos: u64,
-    ) -> Result<QueryResponse> {
-        let start = Instant::now();
-        let _in_flight = self.telemetry.enter();
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        if request.values.len() != request.parameters.len() {
-            return Err(EngineError::ParameterArity {
-                expected: request.parameters.len(),
-                actual: request.values.len(),
-            });
-        }
-        let canonical = canonicalize(&request.query, &request.parameters);
-        if let Some(c) = clock.as_mut() {
-            c.mark(Phase::Admit);
-        }
-
-        // Materialized fast path: maintained answers exact for the pinned
-        // version are served with zero base-data accesses.  The key is built
-        // once and reused by the post-execution `record` below.
-        let mut materialized_key = (!self.materialized.is_disabled())
-            .then(|| (canonical.key.clone(), request.values.clone()));
-        if let Some(key) = &materialized_key {
-            if let Some(hit) = self.materialized.get(key, snapshot.epoch()) {
-                // Same defensive admission re-check as the plan cache: the
-                // answers were admitted when their plan was, but the check is
-                // two integer compares.
-                if let Some(budget) = self.config.fetch_budget {
-                    let cheapest = hit.static_cost.max_tuples;
-                    if cheapest > budget {
-                        self.rejected_by_budget.fetch_add(1, Ordering::Relaxed);
-                        return Err(EngineError::RejectedByBudget { budget, cheapest });
-                    }
-                }
-                if let Some(c) = clock.as_mut() {
-                    c.mark(Phase::PlanLookup);
-                }
-                let static_cost = hit.static_cost;
-                let answers = hit.into_answers();
-                let trace = self.finish_request(
-                    clock,
-                    start,
-                    queue_wait_nanos,
-                    request.trace,
-                    TraceFacts {
-                        shape: &canonical.key,
-                        epoch: snapshot.epoch(),
-                        provenance: Provenance::Materialized,
-                        estimated_tuples: 0.0,
-                        fetched_tuples: 0,
-                        answers: answers.len() as u64,
-                        routed_fetches: 0,
-                        fanned_fetches: 0,
-                        batch: None,
-                    },
-                );
-                return Ok(QueryResponse {
-                    answers,
-                    accesses: MeterSnapshot::default(),
-                    epoch: snapshot.epoch(),
-                    cache_hit: false,
-                    materialized: true,
-                    static_cost,
-                    service: start.elapsed(),
-                    trace,
-                });
-            }
-        }
-
-        // Admit + plan (possibly from cache).
-        let (cached, cache_hit) = self.plan_for(snapshot, &canonical)?;
-        if let Some(c) = clock.as_mut() {
-            c.mark(Phase::PlanLookup);
-        }
-
-        // Execute on the pinned version — scatter-gather across data shards
-        // through `ShardedAccess`, morsel-parallel when configured (both
-        // compose: each morsel worker forks a source over the same pinned
-        // shard vector).  With a clock attached, the traced executor
-        // variants report the fetch/finalize split through the `TraceSink`
-        // hook; the plain variants stay byte-for-byte the untraced hot path.
-        let make =
-            || ShardedAccess::<AccessMeter>::new(Arc::clone(snapshot), Arc::clone(&self.access));
-        let (result, routed_fetches, fanned_fetches) = if self.config.shards_per_query > 1 {
-            let workers = self.config.shards_per_query;
-            let result = match clock.as_mut() {
-                Some(c) => execute_bounded_partitioned_traced(
-                    &cached.plan,
-                    &request.values,
-                    make,
-                    workers,
-                    &mut ClockSink(c),
-                )?,
-                None => execute_bounded_partitioned(&cached.plan, &request.values, make, workers)?,
-            };
-            // The morsel path forks one source per worker, so only the
-            // single-threaded path reports the per-request routing split.
-            (result, 0, 0)
-        } else {
-            let source = make();
-            let result = match clock.as_mut() {
-                Some(c) => execute_bounded_traced(
-                    &cached.plan,
-                    &request.values,
-                    &source,
-                    &mut ClockSink(c),
-                )?,
-                None => execute_bounded(&cached.plan, &request.values, &source)?,
-            };
-            (result, source.routed_fetches(), source.fanned_fetches())
-        };
-        if let Some(c) = clock.as_mut() {
-            // Execution time was charged to Fetch/Finalize by the sink;
-            // re-base the stopwatch so the executor interval is not charged
-            // twice.
-            c.skip();
-        }
-
-        // Merge this request's access counts into the engine meter (four
-        // atomic adds — the fetch loops themselves charged Cell meters).
-        self.meter.merge(&result.accesses);
-
-        // Offer the executed answers to the materialized layer: counted
-        // towards hotness, admitted at the threshold, maintained from the
-        // next commit on.  Reads of explicitly pinned *old* versions are not
-        // offered — materialization tracks the current version (if a commit
-        // races this check, the stale-entry drop at the next maintenance
-        // pass cleans up).
-        if let Some(key) = materialized_key.take() {
-            if snapshot.epoch() == self.store.epoch() {
-                self.materialized.record(
-                    key,
-                    &canonical.query,
-                    &canonical.parameters,
-                    &result.answers,
-                    snapshot.epoch(),
-                    cached.stats_epoch,
-                    cached.plan.static_cost(),
-                    result.accesses,
-                );
-            }
-        }
-
-        let trace = self.finish_request(
-            clock,
-            start,
-            queue_wait_nanos,
-            request.trace,
-            TraceFacts {
-                shape: &canonical.key,
-                epoch: snapshot.epoch(),
-                provenance: Provenance::Planned { cache_hit },
-                estimated_tuples: cached.estimated_tuples,
-                fetched_tuples: result.accesses.tuples_fetched,
-                answers: result.answers.len() as u64,
-                routed_fetches,
-                fanned_fetches,
-                batch: None,
-            },
-        );
-        Ok(QueryResponse {
-            answers: result.answers,
-            accesses: result.accesses,
-            epoch: snapshot.epoch(),
-            cache_hit,
-            materialized: false,
-            static_cost: cached.plan.static_cost(),
-            service: start.elapsed(),
-            trace,
-        })
-    }
-
-    /// Finishes a served request's observability work: records the serve
-    /// latency histogram and — for sampled, slow, or opted-in requests —
-    /// builds and emits the [`RequestTrace`].  Returns the trace only when
-    /// the request opted in.
-    fn finish_request(
-        &self,
-        clock: Option<PhaseClock>,
-        start: Instant,
-        queue_wait_nanos: u64,
-        opt_in: bool,
-        facts: TraceFacts<'_>,
-    ) -> Option<Arc<RequestTrace>> {
-        let service_nanos = nanos_of(start.elapsed());
-        self.telemetry.serve.record(service_nanos);
-        let slow = self.telemetry.is_slow(service_nanos);
-        let (phases, phases_recorded, total_nanos) = match clock {
-            Some(mut c) => {
-                c.mark(Phase::Reply);
-                (c.timings(), true, c.total_nanos())
-            }
-            // Unsampled requests get a post-hoc trace only when slow; the
-            // phase array stays zeroed.
-            None if slow => (PhaseTimings::default(), false, service_nanos),
-            None => return None,
-        };
-        let trace = self.telemetry.emit(RequestTrace {
-            shape: facts.shape.clone(),
-            epoch: facts.epoch,
-            phases,
-            phases_recorded,
-            total_nanos,
-            queue_wait_nanos,
-            provenance: facts.provenance,
-            estimated_tuples: facts.estimated_tuples,
-            fetched_tuples: facts.fetched_tuples,
-            answers: facts.answers,
-            routed_fetches: facts.routed_fetches,
-            fanned_fetches: facts.fanned_fetches,
-            batch: facts.batch,
-            slow,
-        });
-        opt_in.then_some(trace)
-    }
-
-    /// Plan-cache lookup with admission control; plans on miss.
-    fn plan_for(
-        &self,
-        snapshot: &Arc<ShardedSnapshotView>,
-        canonical: &CanonicalQuery,
-    ) -> Result<(CachedPlan, bool)> {
-        let (stats, stats_epoch) = {
-            let guard = self.stats.read().expect("stats lock poisoned");
-            (Arc::clone(&guard.stats), guard.epoch)
-        };
-
-        if let Some(hit) = self.cache.get(&canonical.key, stats_epoch) {
-            // Defensive re-check: every cached plan was admitted when it was
-            // planned, but the check is two integer compares.
-            if let Some(budget) = self.config.fetch_budget {
-                let cheapest = hit.plan.static_cost().max_tuples;
-                if cheapest > budget {
-                    self.rejected_by_budget.fetch_add(1, Ordering::Relaxed);
-                    return Err(EngineError::RejectedByBudget { budget, cheapest });
-                }
-            }
-            return Ok((hit, true));
-        }
-
-        let planner = si_core::CostBasedPlanner::new(snapshot.schema(), &self.access, &stats);
-        let costed = planner
-            .plan_costed(
-                &canonical.query,
-                &canonical.parameters,
-                self.config.fetch_budget,
-            )
-            .map_err(|e| match e {
-                CoreError::FetchBudgetExceeded { budget, cheapest } => {
-                    self.rejected_by_budget.fetch_add(1, Ordering::Relaxed);
-                    EngineError::RejectedByBudget { budget, cheapest }
-                }
-                other => EngineError::Core(other),
-            })?;
-        let cached = CachedPlan {
-            plan: Arc::new(costed.plan),
-            stats_epoch,
-            estimated_tuples: costed.estimated_tuples,
-        };
-        self.cache.insert(canonical.key.clone(), cached.clone());
-        Ok((cached, false))
-    }
-
-    /// Runs the fetch phase of `plan` once against the pinned version (the
-    /// shared half of a request group's execution; see
-    /// [`fetch_bounded`]).
-    fn fetch_for(
-        &self,
-        snapshot: &Arc<ShardedSnapshotView>,
-        plan: &BoundedPlan,
-        values: &[Value],
-    ) -> std::result::Result<SharedFetch, CoreError> {
-        let source =
-            ShardedAccess::<AccessMeter>::new(Arc::clone(snapshot), Arc::clone(&self.access));
-        fetch_bounded(plan, values, &source)
-    }
-
-    /// Serves a slice of requests against one pinned current version,
-    /// sharing the fetch phase among requests with identical canonical shape
-    /// and parameter values (see [`Engine::execute_batch`]).
-    pub(crate) fn serve_batch(&self, requests: &[Request]) -> Vec<Result<QueryResponse>> {
-        let snapshot = self.store.pin();
-        self.serve_batch_at(&snapshot, requests)
-    }
-
-    /// [`Shared::serve_batch`] against a caller-pinned version.
-    fn serve_batch_at(
-        &self,
-        snapshot: &Arc<ShardedSnapshotView>,
-        requests: &[Request],
-    ) -> Vec<Result<QueryResponse>> {
-        // Group by (canonical shape, parameter values) in first-appearance
-        // order.  Only the shape key and the values matter: alpha-renamed
-        // requests canonicalize identically, so they share a fetch too.
-        let mut out: Vec<Option<Result<QueryResponse>>> = requests.iter().map(|_| None).collect();
-        let mut groups: Vec<(CanonicalQuery, Vec<usize>)> = Vec::new();
-        let mut by_key: HashMap<(ShapeKey, Vec<Value>), usize> = HashMap::new();
-        for (i, request) in requests.iter().enumerate() {
-            if request.values.len() != request.parameters.len() {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                out[i] = Some(Err(EngineError::ParameterArity {
-                    expected: request.parameters.len(),
-                    actual: request.values.len(),
-                }));
-                continue;
-            }
-            let canonical = canonicalize(&request.query, &request.parameters);
-            let key = (canonical.key.clone(), request.values.clone());
-            match by_key.get(&key) {
-                Some(&g) => groups[g].1.push(i),
-                None => {
-                    by_key.insert(key, groups.len());
-                    groups.push((canonical, vec![i]));
-                }
-            }
-        }
-        for (canonical, members) in &groups {
-            if let [lone] = members.as_slice() {
-                // A group of one is exactly an unbatched request; the plain
-                // path keeps its accounting (and morsel parallelism).
-                out[*lone] = Some(self.serve_at(snapshot, &requests[*lone]));
-                continue;
-            }
-            let values = &requests[members[0]].values;
-            let opt_in: Vec<bool> = members.iter().map(|&m| requests[m].trace).collect();
-            let responses = self.serve_group(snapshot, canonical, values, &opt_in);
-            for (member, response) in members.iter().zip(responses) {
-                out[*member] = Some(response);
-            }
-        }
-        out.into_iter()
-            .map(|response| response.expect("every grouped request was answered"))
-            .collect()
-    }
-
-    /// Serves `count` requests that share one (canonical shape, values) pair
-    /// against one pinned version, executing the fetch phase at most once.
-    ///
-    /// Members are processed **sequentially**, each taking the same
-    /// materialized-fast-path / plan-cache / record steps as
-    /// [`Shared::serve_at`] — so hotness counters, admissions, cache-hit
-    /// flags and materialized-hit counts are exactly what an unbatched
-    /// engine serving the same sequence would produce.  The only difference
-    /// is *where* the fetch cost goes: the first member that needs base data
-    /// runs [`fetch_bounded`] once, later members finalise from the shared
-    /// slice with zero marginal accesses.  The engine meter is charged the
-    /// fetch cost once; each sharing response reports an attributed share
-    /// `C/k` (remainder on the first), so response shares still sum to the
-    /// true global cost.
-    fn serve_group(
-        &self,
-        snapshot: &Arc<ShardedSnapshotView>,
-        canonical: &CanonicalQuery,
-        values: &[Value],
-        opt_in: &[bool],
-    ) -> Vec<Result<QueryResponse>> {
-        let count = opt_in.len();
-        self.batched_requests
-            .fetch_add(count as u64, Ordering::Relaxed);
-        let mut out: Vec<Result<QueryResponse>> = Vec::with_capacity(count);
-        let mut fetch: Option<(SharedFetch, Arc<BoundedPlan>)> = None;
-        // One entry per executed fetch: its cost and the response positions
-        // that shared it.  (More than one generation only happens when a
-        // racing stats refresh swaps the cached plan mid-group.)
-        let mut generations: Vec<(MeterSnapshot, Vec<usize>)> = Vec::new();
-        // Traced members park their timings here until the attribution loop
-        // below fixes the fetched-tuple counts; traces are emitted after it
-        // so they report exactly what the response meter does.
-        let mut pending: Vec<GroupTrace> = Vec::new();
-        for &wants_trace in opt_in {
-            let start = Instant::now();
-            let _in_flight = self.telemetry.enter();
-            let mut clock = (self.telemetry.sampler.hit() || wants_trace).then(PhaseClock::new);
-            self.requests.fetch_add(1, Ordering::Relaxed);
-
-            // Materialized fast path, identical to `serve_at`.
-            let mut materialized_key = (!self.materialized.is_disabled())
-                .then(|| (canonical.key.clone(), values.to_vec()));
-            if let Some(key) = &materialized_key {
-                if let Some(hit) = self.materialized.get(key, snapshot.epoch()) {
-                    if let Some(budget) = self.config.fetch_budget {
-                        let cheapest = hit.static_cost.max_tuples;
-                        if cheapest > budget {
-                            self.rejected_by_budget.fetch_add(1, Ordering::Relaxed);
-                            out.push(Err(EngineError::RejectedByBudget { budget, cheapest }));
-                            continue;
-                        }
-                    }
-                    if let Some(c) = clock.as_mut() {
-                        c.mark(Phase::PlanLookup);
-                    }
-                    let static_cost = hit.static_cost;
-                    let answers = hit.into_answers();
-                    Self::park_group_trace(
-                        &mut pending,
-                        out.len(),
-                        clock,
-                        start,
-                        wants_trace,
-                        Provenance::Materialized,
-                        0.0,
-                        answers.len() as u64,
-                        &self.telemetry,
-                    );
-                    out.push(Ok(QueryResponse {
-                        answers,
-                        accesses: MeterSnapshot::default(),
-                        epoch: snapshot.epoch(),
-                        cache_hit: false,
-                        materialized: true,
-                        static_cost,
-                        service: start.elapsed(),
-                        trace: None,
-                    }));
-                    continue;
-                }
-            }
-
-            let (cached, cache_hit) = match self.plan_for(snapshot, canonical) {
-                Ok(planned) => planned,
-                Err(e) => {
-                    out.push(Err(e));
-                    continue;
-                }
-            };
-            if let Some(c) = clock.as_mut() {
-                c.mark(Phase::PlanLookup);
-            }
-            let reusable = fetch
-                .as_ref()
-                .is_some_and(|(_, plan)| Arc::ptr_eq(plan, &cached.plan));
-            if !reusable {
-                match self.fetch_for(snapshot, &cached.plan, values) {
-                    Ok(shared) => {
-                        self.meter.merge(&shared.accesses());
-                        self.shared_fetches.fetch_add(1, Ordering::Relaxed);
-                        generations.push((shared.accesses(), Vec::new()));
-                        fetch = Some((shared, Arc::clone(&cached.plan)));
-                    }
-                    Err(e) => {
-                        out.push(Err(e.into()));
-                        continue;
-                    }
-                }
-                if let Some(c) = clock.as_mut() {
-                    c.mark(Phase::Fetch);
-                }
-            }
-            let (shared, _) = fetch.as_ref().expect("shared fetch installed above");
-            let result = match shared.finalize_one(&cached.plan) {
-                Ok(answer) => answer,
-                Err(e) => {
-                    out.push(Err(e.into()));
-                    continue;
-                }
-            };
-            if let Some(c) = clock.as_mut() {
-                c.mark(Phase::Finalize);
-            }
-
-            // Offer to the materialized layer with the *full* fetch cost as
-            // the re-execution cost — what a lone execution would measure.
-            if let Some(key) = materialized_key.take() {
-                if snapshot.epoch() == self.store.epoch() {
-                    self.materialized.record(
-                        key,
-                        &canonical.query,
-                        &canonical.parameters,
-                        &result.answers,
-                        snapshot.epoch(),
-                        cached.stats_epoch,
-                        cached.plan.static_cost(),
-                        shared.accesses(),
-                    );
-                }
-            }
-
-            generations
-                .last_mut()
-                .expect("a generation exists once a fetch ran")
-                .1
-                .push(out.len());
-            Self::park_group_trace(
-                &mut pending,
-                out.len(),
-                clock,
-                start,
-                wants_trace,
-                Provenance::Planned { cache_hit },
-                cached.estimated_tuples,
-                result.answers.len() as u64,
-                &self.telemetry,
-            );
-            out.push(Ok(QueryResponse {
-                answers: result.answers,
-                accesses: MeterSnapshot::default(), // attributed below
-                epoch: snapshot.epoch(),
-                cache_hit,
-                materialized: false,
-                static_cost: cached.plan.static_cost(),
-                service: start.elapsed(),
-                trace: None,
-            }));
-        }
-
-        // Exact attribution: each fetch was charged to the engine meter
-        // once; its sharers report `C/k` each with the remainder on the
-        // first, so per-response shares sum to exactly `C`.
-        for (cost, sharers) in &generations {
-            let k = sharers.len() as u64;
-            for (rank, &position) in sharers.iter().enumerate() {
-                if let Ok(response) = &mut out[position] {
-                    response.accesses = share_of(cost, k, rank == 0);
-                }
-            }
-        }
-
-        // Emit parked traces now that each response carries its attributed
-        // share — trace and meter agree exactly, shared fetch or not.
-        for parked in pending {
-            if let Ok(response) = &mut out[parked.position] {
-                let trace = self.telemetry.emit(RequestTrace {
-                    shape: canonical.key.clone(),
-                    epoch: snapshot.epoch(),
-                    phases: parked.phases,
-                    phases_recorded: parked.phases_recorded,
-                    total_nanos: parked.total_nanos,
-                    queue_wait_nanos: 0,
-                    provenance: parked.provenance,
-                    estimated_tuples: parked.estimated_tuples,
-                    fetched_tuples: response.accesses.tuples_fetched,
-                    answers: parked.answers,
-                    routed_fetches: 0,
-                    fanned_fetches: 0,
-                    batch: Some(BatchMembership {
-                        group_size: count as u32,
-                        shared_fetch: true,
-                    }),
-                    slow: parked.slow,
-                });
-                if parked.opt_in {
-                    response.trace = Some(trace);
-                }
-            }
-        }
-        out
-    }
-
-    /// Records a group member's serve latency and, when traced (sampled,
-    /// opted-in, or post-hoc slow), parks its timing facts for emission after
-    /// cost attribution.
-    #[allow(clippy::too_many_arguments)]
-    fn park_group_trace(
-        pending: &mut Vec<GroupTrace>,
-        position: usize,
-        clock: Option<PhaseClock>,
-        start: Instant,
-        opt_in: bool,
-        provenance: Provenance,
-        estimated_tuples: f64,
-        answers: u64,
-        telemetry: &EngineTelemetry,
-    ) {
-        let service_nanos = nanos_of(start.elapsed());
-        telemetry.serve.record(service_nanos);
-        let slow = telemetry.is_slow(service_nanos);
-        let (phases, phases_recorded, total_nanos) = match clock {
-            Some(mut c) => {
-                c.mark(Phase::Reply);
-                (c.timings(), true, c.total_nanos())
-            }
-            None if slow => (PhaseTimings::default(), false, service_nanos),
-            None => return,
-        };
-        pending.push(GroupTrace {
-            position,
-            phases,
-            phases_recorded,
-            total_nanos,
-            provenance,
-            estimated_tuples,
-            answers,
-            slow,
-            opt_in,
-        });
-    }
-
     /// Commits one delta synchronously: a group commit of one, so the
     /// validation, maintenance and drift behaviour (and every error kind) is
     /// exactly the committer path's.
@@ -1512,10 +793,8 @@ impl Shared {
         parts: &[Delta],
         shard_nanos: &Mutex<Vec<u64>>,
     ) -> std::result::Result<MeterSnapshot, CoreError> {
-        let old_view =
-            ShardedAccess::<AccessMeter>::new(Arc::clone(base), Arc::clone(&self.access));
-        let new_view =
-            ShardedAccess::<AccessMeter>::new(Arc::clone(snapshot), Arc::clone(&self.access));
+        let old_view = self.local_source(base);
+        let new_view = self.local_source(snapshot);
         let mut cost = MeterSnapshot::default();
         for (shard, part) in parts.iter().enumerate() {
             if part.is_empty() {
@@ -1559,13 +838,7 @@ impl Shared {
     /// epoch — the first maintenance pass after registration starts from
     /// exactly the state the subscriber was handed.
     fn subscribe(&self, request: &Request) -> Result<ObservableQuery> {
-        if request.values.len() != request.parameters.len() {
-            return Err(EngineError::ParameterArity {
-                expected: request.parameters.len(),
-                actual: request.values.len(),
-            });
-        }
-        let canonical = canonicalize(&request.query, &request.parameters);
+        let canonical = serve::admit(request)?;
         let key: MaterializedKey = (canonical.key.clone(), request.values.clone());
         let _fence = self.commit_lock.lock().expect("commit lock poisoned");
         let snapshot = self.store.pin();
@@ -1702,9 +975,7 @@ impl Shared {
         plan: &BoundedPlan,
         values: &[Value],
     ) -> std::result::Result<(Vec<Tuple>, MeterSnapshot), CoreError> {
-        let source =
-            ShardedAccess::<AccessMeter>::new(Arc::clone(snapshot), Arc::clone(&self.access));
-        let result = execute_bounded(plan, values, &source)?;
+        let result = execute_bounded(plan, values, &self.local_source(snapshot))?;
         Ok((result.answers, result.accesses))
     }
 
@@ -1887,48 +1158,6 @@ impl Shared {
     }
 }
 
-/// The non-timing facts of a request trace, gathered on the serve path.
-struct TraceFacts<'a> {
-    shape: &'a ShapeKey,
-    epoch: u64,
-    provenance: Provenance,
-    estimated_tuples: f64,
-    fetched_tuples: u64,
-    answers: u64,
-    routed_fetches: u64,
-    fanned_fetches: u64,
-    batch: Option<BatchMembership>,
-}
-
-/// A group member's trace, parked until cost attribution fixes its
-/// fetched-tuple count (see `Shared::serve_group`).
-struct GroupTrace {
-    position: usize,
-    phases: PhaseTimings,
-    phases_recorded: bool,
-    total_nanos: u64,
-    provenance: Provenance,
-    estimated_tuples: f64,
-    answers: u64,
-    slow: bool,
-    opt_in: bool,
-}
-
-/// Bridges `si-core`'s executor phase hook ([`TraceSink`]) into the serve
-/// path's [`PhaseClock`]: the executor reports its own fetch/finalize split,
-/// the clock files it under the matching serve phases.
-struct ClockSink<'a>(&'a mut PhaseClock);
-
-impl TraceSink for ClockSink<'_> {
-    fn exec_phase(&mut self, phase: ExecPhase, nanos: u64) {
-        let target = match phase {
-            ExecPhase::Fetch => Phase::Fetch,
-            ExecPhase::Finalize => Phase::Finalize,
-        };
-        self.0.charge(target, nanos);
-    }
-}
-
 /// Checks `access` against `db`'s schema and declares every index it
 /// promises (lazily built, inside whichever version first probes it).
 fn declare_indexes(db: &mut Database, access: &AccessSchema) -> Result<()> {
@@ -1944,18 +1173,6 @@ fn declare_indexes(db: &mut Database, access: &AccessSchema) -> Result<()> {
 /// Saturating `Duration` → nanoseconds (u64).
 fn nanos_of(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// One response's attributed share of a fetch cost `total` split `k` ways:
-/// `total/k` per sharer, remainder on the first, so shares sum to `total`.
-fn share_of(total: &MeterSnapshot, k: u64, first: bool) -> MeterSnapshot {
-    let part = |c: u64| if first { c / k + c % k } else { c / k };
-    MeterSnapshot {
-        tuples_fetched: part(total.tuples_fetched),
-        index_probes: part(total.index_probes),
-        full_scans: part(total.full_scans),
-        time_units: part(total.time_units),
-    }
 }
 
 /// A response that has been submitted to the worker pool but may not have
@@ -2250,7 +1467,7 @@ impl Engine {
     /// Serves a request synchronously on the calling thread (admit →
     /// plan-cache → pin snapshot → execute → merge).
     pub fn execute(&self, request: &Request) -> Result<QueryResponse> {
-        self.shared.serve(request)
+        self.shared.serve(request, Read::Current, 0)
     }
 
     /// Serves a request against a caller-pinned snapshot version instead of
@@ -2267,7 +1484,7 @@ impl Engine {
         request: &Request,
     ) -> Result<QueryResponse> {
         match snapshot {
-            EngineSnapshot::Sharded(view) => self.shared.serve_at(view, request),
+            EngineSnapshot::Sharded(view) => self.shared.serve(request, Read::At(view), 0),
             EngineSnapshot::Single(snap) => Err(EngineError::EpochUnavailable {
                 requested: snap.epoch(),
                 newest: self.epoch(),
@@ -2361,7 +1578,9 @@ impl Engine {
     /// Serves a request through the attached replicas instead of the local
     /// shards: pin the current version, wait for every replica to
     /// acknowledge that epoch (read-your-writes), then execute over the
-    /// wire with [`si_access::ReplicatedAccess`].
+    /// wire with [`si_access::ReplicatedAccess`].  It is the same serve
+    /// body as [`Engine::execute`] — admission, plan cache, meter, trace —
+    /// except that it skips the materialized answer layer.
     ///
     /// Answers, witnesses and [`MeterSnapshot`] accounting are identical to
     /// [`Engine::execute`] at the same version — the replicas run only the
@@ -2370,7 +1589,7 @@ impl Engine {
     /// lagging replica cannot acknowledge the pinned epoch in time, and
     /// with [`EngineError::Replication`] when a shard has no replica.
     pub fn execute_replicated(&self, request: &Request) -> Result<QueryResponse> {
-        self.shared.serve_replicated(request)
+        self.shared.serve(request, Read::Replicated, 0)
     }
 
     /// Registers a reactive subscription for `request`'s answers.
@@ -2439,8 +1658,13 @@ impl Engine {
     /// response reports an attributed share `C/k` (remainder on the first)
     /// so that response shares still sum to the true global cost.  Requests
     /// the materialized layer answers report zero, as always.
+    ///
+    /// Each member runs the same serve body as [`Engine::execute`], in
+    /// request order; a member's trace is emitted once its share is known,
+    /// so trace and response meter agree.  A batch of one is exactly
+    /// [`Engine::execute`].
     pub fn execute_batch(&self, requests: &[Request]) -> Vec<Result<QueryResponse>> {
-        self.shared.serve_batch(requests)
+        self.shared.serve_batch(requests, &[])
     }
 
     /// Applies an update to the current version, returning the new snapshot
@@ -3083,19 +2307,6 @@ mod tests {
         assert_eq!(answers, vec![tuple!["ann"], tuple!["bob"], tuple!["dan"]]);
     }
 
-    #[test]
-    fn sharded_execution_matches_unsharded() {
-        let sharded = engine(EngineConfig {
-            shards_per_query: 4,
-            ..EngineConfig::default()
-        });
-        let plain = engine(EngineConfig::default());
-        let a = sharded.execute(&req(1)).unwrap();
-        let b = plain.execute(&req(1)).unwrap();
-        assert_eq!(a.answers, b.answers);
-        assert_eq!(a.accesses, b.accesses);
-    }
-
     fn social_partition() -> PartitionMap {
         PartitionMap::new()
             .with("person", "id")
@@ -3651,26 +2862,6 @@ mod tests {
             assert_eq!(sa, pa);
         }
         assert_eq!(sharded.metrics().shared_fetches, 1);
-    }
-
-    #[test]
-    fn sharded_engine_composes_with_morsel_parallelism() {
-        let engine = sharded_engine(
-            3,
-            EngineConfig {
-                shards_per_query: 4,
-                ..EngineConfig::default()
-            },
-        );
-        let plain = engine_with_budget(None);
-        let a = engine.execute(&req(1)).unwrap();
-        let b = plain.execute(&req(1)).unwrap();
-        let mut sa = a.answers.clone();
-        let mut sb = b.answers.clone();
-        sa.sort();
-        sb.sort();
-        assert_eq!(sa, sb);
-        assert_eq!(a.accesses, b.accesses);
     }
 
     use si_durability::SimDisk;

@@ -75,33 +75,30 @@ impl WorkerPool {
                             },
                             Err(_) => break,
                         };
-                        if let [_] = jobs.as_slice() {
-                            let job = jobs.into_iter().next().expect("one job");
-                            let wait_nanos = crate::nanos_of(job.submitted.elapsed());
-                            shared.telemetry.queue_wait.record(wait_nanos);
-                            let result = shared.serve_queued(&job.request, wait_nanos);
+                        // Every job's measured wait goes to the histogram
+                        // and, through the serve path, to its trace.  One
+                        // job is a lone read; more are grouped onto shared
+                        // fetches.
+                        let mut requests = Vec::with_capacity(jobs.len());
+                        let mut waits = Vec::with_capacity(jobs.len());
+                        let mut replies = Vec::with_capacity(jobs.len());
+                        for job in jobs {
+                            let wait = crate::nanos_of(job.submitted.elapsed());
+                            shared.telemetry.queue_wait.record(wait);
+                            requests.push(job.request);
+                            waits.push(wait);
+                            replies.push(job.reply);
+                        }
+                        let results = shared.serve_batch(&requests, &waits);
+                        for (reply, result) in replies.iter().zip(results) {
                             // A dropped reply receiver just means the client
                             // gave up waiting; the work is already merged
                             // into the engine's metrics.
-                            let _ = job.reply.send(result);
+                            let _ = reply.send(result);
                             // The queue slot frees only once the reply is
                             // delivered: `queued` counts admitted requests
                             // the engine still owes work on.
                             shared.queued.fetch_sub(1, Ordering::Relaxed);
-                        } else {
-                            for job in &jobs {
-                                shared
-                                    .telemetry
-                                    .queue_wait
-                                    .record(crate::nanos_of(job.submitted.elapsed()));
-                            }
-                            let (requests, replies): (Vec<_>, Vec<_>) =
-                                jobs.into_iter().map(|j| (j.request, j.reply)).unzip();
-                            let results = shared.serve_batch(&requests);
-                            for (reply, result) in replies.iter().zip(results) {
-                                let _ = reply.send(result);
-                                shared.queued.fetch_sub(1, Ordering::Relaxed);
-                            }
                         }
                     })
                     .expect("failed to spawn engine worker thread")

@@ -261,10 +261,7 @@ fn plan_cache_hits_equal_cold_planned_answers() {
 
 #[test]
 fn sharded_serving_stays_equivalent_under_concurrent_commits() {
-    let sharded = engine(EngineConfig {
-        shards_per_query: 4,
-        ..EngineConfig::default()
-    });
+    let sharded = sharded_engine(4, EngineConfig::default());
     let stream = social_requests(PERSONS, 40, 99);
     std::thread::scope(|scope| {
         let writer = &sharded;

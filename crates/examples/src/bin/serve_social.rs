@@ -11,8 +11,8 @@
 //!   answers from version 0 afterwards;
 //! * prepared plans — the second occurrence of each query shape is a cache
 //!   hit;
-//! * parallel bounded execution — requests are served concurrently from the
-//!   worker pool (and can shard internally via `shards_per_query`);
+//! * concurrent bounded execution — requests are served concurrently from
+//!   the worker pool, each on one thread;
 //! * admission control — a 9 999-tuple fetch budget rejects Q1 (worst case
 //!   10 000) before it touches any data.
 

@@ -121,19 +121,6 @@ impl PhaseClock {
         self.last = now;
     }
 
-    /// Directly charges externally measured `nanos` to `phase` without
-    /// advancing the stopwatch (used when a lower layer reports its own
-    /// fetch/finalize split).
-    pub fn charge(&mut self, phase: Phase, nanos: u64) {
-        self.timings.add(phase, nanos);
-    }
-
-    /// Re-bases the stopwatch to *now* without charging the elapsed gap to
-    /// any phase (used after externally timed sections).
-    pub fn skip(&mut self) {
-        self.last = Instant::now();
-    }
-
     /// Total wall-clock nanoseconds since construction.
     pub fn total_nanos(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)

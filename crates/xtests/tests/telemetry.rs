@@ -12,7 +12,8 @@
 //!
 //! 2. **Trace completeness** — every serving mode of the engine (cold plan,
 //!    warm plan-cache hit, materialized hit, shared-fetch batch member,
-//!    sharded scatter-gather, durable, pool-queued) yields a request trace
+//!    sharded scatter-gather, replicated, durable, pool-queued, pool-batched)
+//!    yields a request trace
 //!    whose phase durations partition the measured service interval, whose
 //!    tuple counts equal the response's access meter **exactly**, and whose
 //!    provenance matches the response flags; an injected slow query lands in
@@ -24,8 +25,9 @@
 
 use si_data::{Database, Delta, Value};
 use si_durability::SimDisk;
-use si_engine::{Engine, EngineConfig, Provenance, Request, RequestTrace};
+use si_engine::{Engine, EngineConfig, Provenance, Request, RequestTrace, ShardReplica};
 use si_telemetry::{HistogramSnapshot, LatencyHistogram};
+use si_wire::{Connection, Duplex};
 use si_workload::rng::SplitMix64;
 use si_workload::{serving_access_schema, social_partition_map, SocialConfig, SocialGenerator};
 use std::sync::Arc;
@@ -275,6 +277,25 @@ fn every_serving_mode_yields_a_complete_trace() {
     assert_eq!(t.fetched_tuples, response.accesses.tuples_fetched);
     assert_phases_reconcile(t);
 
+    // Replicated: the same serve body over the wire, one replica per shard.
+    for shard in 0..3 {
+        let (primary_end, replica_end) = Duplex::pair();
+        let replica = Arc::new(ShardReplica::new(8));
+        replica.spawn(Arc::new(Connection::new(Arc::new(replica_end))));
+        sharded
+            .attach_replica(shard, Arc::new(primary_end))
+            .unwrap();
+    }
+    let response = sharded.execute_replicated(&request(1)).unwrap();
+    let t = response.trace.as_ref().unwrap();
+    assert!(matches!(t.provenance, Provenance::Planned { .. }));
+    assert_eq!(t.fetched_tuples, response.accesses.tuples_fetched);
+    assert!(
+        t.routed_fetches + t.fanned_fetches > 0,
+        "replicated serve must report its probe split"
+    );
+    assert_phases_reconcile(t);
+
     // Durable: commits write ahead, and the commit log exposes the span
     // breakdown (gather, merge, WAL, apply, maintenance) for the pass.
     let durable = Engine::new_durable(
@@ -307,8 +328,8 @@ fn every_serving_mode_yields_a_complete_trace() {
     // Pool-queued: workers measure queue wait into the histogram and thread
     // it through to each trace.
     let pooled = Engine::new(
-        db,
-        access,
+        db.clone(),
+        access.clone(),
         EngineConfig {
             workers: 2,
             trace_sample_every: 1,
@@ -327,6 +348,31 @@ fn every_serving_mode_yields_a_complete_trace() {
     }
     let queue_wait = pooled.telemetry().histogram("si_queue_wait_ns").snapshot();
     assert_eq!(queue_wait.count(), 4);
+
+    // Pool-batched: one worker drains what queued up behind the job it took
+    // and groups it onto a shared fetch; every member's trace still carries
+    // its own queue wait.
+    let batched = Engine::new(
+        db,
+        access,
+        EngineConfig {
+            workers: 1,
+            batch_requests: true,
+            trace_sample_every: 1,
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let pending: Vec<_> = (0..8)
+        .map(|_| batched.submit(request(1)).unwrap())
+        .collect();
+    for p in pending {
+        let response = p.wait().unwrap();
+        let t = response.trace.as_ref().unwrap();
+        assert!(t.queue_wait_nanos > 0, "a pooled trace lost its queue wait");
+        assert_eq!(t.fetched_tuples, response.accesses.tuples_fetched);
+        assert_phases_reconcile(t);
+    }
 }
 
 #[test]
